@@ -35,21 +35,17 @@ trajectory to compare against:
   checkpointing; ``<3%`` overhead gate), plus the checkpoint artifact
   (``BENCH_checkpoint.jsonl``) and a proof that resuming from it is
   record-identical to the uninterrupted run.
-* **campaign_service** — the full 145-defect catalog (monitor sites
-  included) through the asyncio campaign service: a cold sharded run
-  populating the content-addressed result store (gated on parallel
-  efficiency vs the serial solve), a warm re-submission served from
-  cache (gated ≥10x over cold with ≥95% hit-rate and field-identical
-  records), and a concurrent-client load test over the JSON-lines TCP
-  front end.
+* **campaign_store** — the full 145-defect catalog (monitor sites
+  included) solved by a cold parallel campaign into a fresh
+  content-addressed result store, then re-run from the reopened store:
+  gated on a ≥95% cache hit rate and on the cached records being
+  field-identical to the cold run's and to a serial store-less run's.
 * **observability** — the operational-observability layer: the
   Chrome/Perfetto exporter round-trips every span of the telemetry
   section's trace into ``BENCH_trace.perfetto.json``, a parallel
   traced campaign's events all carry the root ``trace_id``, the
   sampling profiler stays under 5% overhead on a traced campaign, the
-  hotspot table is non-empty with self-times bounded by wall time, and
-  a live TCP service's ``stats`` op parses as Prometheus text
-  exposition.
+  hotspot table is non-empty with self-times bounded by wall time.
 * **testgen_atpg** — the gate-level ATPG engine on the ISCAS-like
   benchmark networks (500 and 1000 gates): strict stuck-at fault
   coverage gated at 99% on the 500-gate network, every unclassified
@@ -122,13 +118,9 @@ TELEMETRY_MAX_OVERHEAD_PCT = 3.0
 #: The fault-tolerance machinery (per-defect solver deadline + JSONL
 #: checkpointing) must stay near-free on an unperturbed campaign.
 ROBUSTNESS_MAX_OVERHEAD_PCT = 3.0
-#: Warm (fully cached) service re-run vs the cold run that filled the
-#: store, and the floor on how much of it must come from cache.
-CAMPAIGN_SERVICE_TARGET = 10.0
-SERVICE_MIN_HIT_RATE = 0.95
-#: Cold sharded run must stay close to ideal scaling:
-#: serial_time / (workers x cold_wall).
-SERVICE_MIN_EFFICIENCY = 0.7
+#: Floor on how much of a re-run from a filled result store must be
+#: served from cache.
+STORE_MIN_HIT_RATE = 0.95
 #: Sampling profiler attached to a traced campaign, percent overhead.
 OBSERVABILITY_MAX_OVERHEAD_PCT = 5.0
 #: Profiler sampling interval for the bench runs (fine enough that a
@@ -521,7 +513,7 @@ def bench_robustness() -> dict:
 def bench_observability() -> dict:
     """The operational-observability layer, gated end to end.
 
-    Five checks, every ``*_ok`` flag a CI gate:
+    Four checks, every ``*_ok`` flag a CI gate:
 
     * the Chrome/Perfetto export round-trips every span of
       ``BENCH_trace.jsonl`` (written by :func:`bench_telemetry`, which
@@ -531,15 +523,10 @@ def bench_observability() -> dict:
     * a profiler-enabled campaign stays within
       ``OBSERVABILITY_MAX_OVERHEAD_PCT`` of the traced-only run;
     * the profiled run's hotspot table is non-empty with self-times
-      summing to at most the measured wall time;
-    * a live TCP service's ``stats`` op returns a body that strictly
-      parses as Prometheus text exposition, with the expected samples.
+      summing to at most the measured wall time.
     """
-    import asyncio
-
     from repro.telemetry import (aggregate_hotspots, chrome_trace_events,
-                                 parse_prometheus, read_jsonl,
-                                 write_chrome_trace)
+                                 read_jsonl, write_chrome_trace)
 
     chain, oracles, defects = _campaign_bench()
 
@@ -618,40 +605,6 @@ def bench_observability() -> dict:
     hotspots_ok = (len(hotspots) > 0
                    and 0.0 < self_total_s <= profiled_wall_s)
 
-    # 5. Live-service Prometheus scrape over the real TCP front end.
-    async def scrape() -> dict:
-        import tempfile
-
-        from repro.service import CampaignService, JobSpec, \
-            submit_and_stream
-        with tempfile.TemporaryDirectory() as tmpdir:
-            service = CampaignService(store=tmpdir, workers=2)
-            server = await service.serve(port=0)
-            host, port = server.sockets[0].getsockname()[:2]
-            spec = JobSpec(stages=2, kinds=("pipe",),
-                           pipe_resistances=(4e3,), limit=4)
-            await submit_and_stream(host, port, spec)
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(b'{"op":"stats"}\n')
-            await writer.drain()
-            payload = json.loads(await reader.readline())
-            writer.close()
-            server.close()
-            await server.wait_closed()
-        return payload
-
-    try:
-        stats_payload = scrape_samples = None
-        stats_payload = asyncio.run(scrape())
-        scrape_samples = parse_prometheus(stats_payload["exposition"])
-        scrape_ok = (
-            scrape_samples.get("repro_service_jobs_submitted", 0) >= 1
-            and scrape_samples.get("repro_service_jobs_completed", 0) >= 1
-            and 'repro_service_job_wall_s{quantile="0.5"}' in scrape_samples
-            and "repro_service_job_wall_s_count" in scrape_samples)
-    except (ValueError, KeyError, OSError):
-        scrape_ok = False
-
     return {
         "spans_in_trace": len(source_spans),
         "spans_exported": len(exported),
@@ -671,112 +624,47 @@ def bench_observability() -> dict:
         "hotspot_self_total_s": round(self_total_s, 4),
         "profiled_wall_s": round(profiled_wall_s, 4),
         "hotspots_ok": hotspots_ok,
-        "prometheus_samples": len(scrape_samples or {}),
-        "scrape_ok": scrape_ok,
     }
 
 
-def bench_campaign_service() -> dict:
-    """Cold sharded service run vs warm (fully cached) re-submission.
+def bench_campaign_store() -> dict:
+    """Cold parallel campaign into a result store, then a cached re-run.
 
     The workload is the paper's full section-3 catalog with the
     monitor's own devices included (145 defects on the 3-stage chain):
     the DFT-flow shape where every defect is swept repeatedly across
-    CLI runs, verify sweeps, and nightly fuzz — exactly what the
-    content-addressed store exists to deduplicate.
+    CLI runs and verify sweeps — exactly what the content-addressed
+    store exists to deduplicate.  The re-run reopens the store from
+    disk, as a later process would.  Wall times of this path, with
+    their spread, are the ``store_rerun`` workload of ``perfbench/``.
     """
-    import asyncio
     import tempfile
 
     from repro.parallel import default_workers
-    from repro.service import CampaignService, JobSpec, run_load_test
 
-    workers = default_workers()
-    spec = JobSpec(stages=3,
-                   kinds=("pipe", "terminal-short", "resistor-short",
-                          "resistor-open"),
-                   pipe_resistances=(2e3, 4e3),
-                   include_monitor_sites=True,
-                   parallel=True, workers=workers)
-
-    # Serial reference: the same workload solved inline, no service, no
-    # store — both the efficiency baseline and the record-identity
-    # ground truth for cache-served results.
-    chain = buffer_chain(NOMINAL, n_stages=3, frequency=100e6)
-    monitor = build_shared_monitor(chain.circuit, chain.output_nets,
-                                   tech=NOMINAL)
-    oracles = [LogicOracle(chain.output_nets),
-               FlagOracle(monitor.nets.flag, monitor.nets.flagb),
-               IddqOracle()]
-    defects = list(enumerate_defects(
-        chain.circuit, kinds=tuple(spec.kinds),
-        pipe_resistances=tuple(spec.pipe_resistances)))
-    serial_result = run_campaign(chain.circuit, defects, oracles)
-    serial_s = _best_of(lambda: run_campaign(chain.circuit, defects,
-                                             oracles))
-
-    async def run_service(tmpdir: str) -> dict:
-        service = CampaignService(store=tmpdir, workers=workers)
-        # Cold: timed once — it is the run that populates the store.
-        start = time.perf_counter()
-        cold = await service.run(spec)
-        cold_s = time.perf_counter() - start
-        # Warm: every record served from cache.  Best-of like the other
-        # sections; re-runs only get *more* cached, never less.
-        warm = None
-        warm_s = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            warm = await service.run(spec)
-            warm_s = min(warm_s, time.perf_counter() - start)
-        # Load test: concurrent TCP clients re-submitting the (now
-        # cached) job against the live service.
-        server = await service.serve(port=0)
-        host, port = server.sockets[0].getsockname()[:2]
-        load = await run_load_test(host, port, [spec.to_dict()] * 4)
-        server.close()
-        await server.wait_closed()
-        lookups = warm.n_store_hits + warm.n_store_misses
-        return {
-            "cold_s": cold_s, "warm_s": warm_s,
-            "cold": cold, "warm": warm,
-            "hit_rate": warm.n_store_hits / lookups if lookups else 0.0,
-            "load": load,
-            "max_queue_depth": service.max_queue_depth,
-        }
-
+    chain, oracles, defects = _campaign_bench()
+    # Ground truth for cache-served records: no store, no pool.
+    serial = run_campaign(chain.circuit, defects, oracles)
     with tempfile.TemporaryDirectory() as tmpdir:
-        outcome = asyncio.run(run_service(tmpdir))
-
-    cold, warm = outcome["cold"], outcome["warm"]
-    efficiency = serial_s / (workers * outcome["cold_s"])
-    load = outcome["load"]
+        # Given a path, each campaign opens the store and closes it.
+        cold = run_campaign(chain.circuit, defects, oracles,
+                            store=tmpdir, parallel=True)
+        warm = run_campaign(chain.circuit, defects, oracles,
+                            store=tmpdir, parallel=True)
+    lookups = warm.n_store_hits + warm.n_store_misses
+    hit_rate = warm.n_store_hits / lookups if lookups else 0.0
     return {
-        "defects": len(warm.records),
-        "workers": workers,
-        "serial_s": round(serial_s, 4),
-        "cold_s": round(outcome["cold_s"], 4),
-        "warm_s": round(outcome["warm_s"], 4),
-        "speedup": round(outcome["cold_s"] / outcome["warm_s"], 2),
-        "target_speedup": CAMPAIGN_SERVICE_TARGET,
-        "cache_hit_rate": round(outcome["hit_rate"], 4),
-        "min_cache_hit_rate": SERVICE_MIN_HIT_RATE,
-        "cache_hit_ok": outcome["hit_rate"] >= SERVICE_MIN_HIT_RATE,
-        "parallel_efficiency": round(efficiency, 3),
-        "min_parallel_efficiency": SERVICE_MIN_EFFICIENCY,
-        "efficiency_ok": efficiency >= SERVICE_MIN_EFFICIENCY,
+        "defects": len(defects),
+        "workers": default_workers(),
+        "cold_store_puts": cold.n_store_puts,
+        "cache_hit_rate": round(hit_rate, 4),
+        "min_cache_hit_rate": STORE_MIN_HIT_RATE,
+        "cache_hit_ok": hit_rate >= STORE_MIN_HIT_RATE,
         # Cache-served records must be field-identical to freshly solved
-        # ones — against both the cold service run and the plain serial
-        # campaign (dataclass equality covers every record field).
+        # ones — against both the cold run and the plain serial campaign
+        # (dataclass equality covers every record field).
         "records_identical_ok": (warm.records == cold.records
-                                 and warm.records == serial_result.records),
-        "load_clients": load["clients"],
-        "load_completed": load["completed"],
-        "load_wall_s": load["wall_s"],
-        "load_store_hits": load["total_store_hits"],
-        "load_test_ok": (load["completed"] == load["clients"]
-                         and load["failed"] == 0),
-        "max_queue_depth": outcome["max_queue_depth"],
+                                 and warm.records == serial.records),
     }
 
 
@@ -1017,7 +905,7 @@ def main() -> int:
         "transient_adaptive": bench_transient_adaptive(),
         "telemetry": bench_telemetry(),
         "robustness": bench_robustness(),
-        "campaign_service": bench_campaign_service(),
+        "campaign_store": bench_campaign_store(),
         # Depends on bench_telemetry's BENCH_trace.jsonl artifact.
         "observability": bench_observability(),
         "testgen_atpg": bench_testgen_atpg(),
@@ -1032,7 +920,7 @@ def main() -> int:
             ok = False
         # Every boolean "*_ok" flag a section reports is a gate
         # (accuracy_ok, factor_cache_ok, overhead_ok, cache_hit_ok,
-        # efficiency_ok, records_identical_ok, load_test_ok, ...).
+        # records_identical_ok, ...).
         for key, value in section.items():
             if key.endswith("_ok") and value is False:
                 ok = False

@@ -11,11 +11,9 @@ Usage::
     python -m repro campaign --store results/ --parallel
     python -m repro verify --seed 0 --budget 60s
     python -m repro verify --replay tests/corpus/shared_monitor_pipe.json
-    python -m repro serve --port 8765 --store results/
     python -m repro report run.jsonl
     python -m repro trace export run.jsonl -o run.perfetto.json
     python -m repro trace export run.jsonl -o run.folded --format collapsed
-    python -m repro top 127.0.0.1:8765
 """
 
 from __future__ import annotations
@@ -178,30 +176,6 @@ def _cmd_atpg(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from .service import CampaignService
-
-    async def main() -> int:
-        service = CampaignService(store=args.store, workers=args.workers,
-                                  max_concurrent_jobs=args.max_jobs)
-        server = await service.serve(host=args.host, port=args.port)
-        host, port = server.sockets[0].getsockname()[:2]
-        store_note = f", store={args.store}" if args.store else ""
-        print(f"campaign service listening on {host}:{port} "
-              f"({service.workers} worker(s){store_note})", flush=True)
-        async with server:
-            await server.serve_forever()
-        return 0
-
-    try:
-        return asyncio.run(main())
-    except KeyboardInterrupt:
-        print("service stopped")
-        return 0
-
-
 def _cmd_verify(args) -> int:
     from .telemetry import from_env
     from .verify import (DEFAULT_ENGINES, ENGINES_BY_NAME, GeneratorConfig,
@@ -280,91 +254,6 @@ def _cmd_trace(args) -> int:
     what = "span(s)" if args.format == "chrome" else "stack line(s)"
     print(f"wrote {n} {what} to {args.output} ({args.format} format)")
     return 0
-
-
-def _scrape_stats(host: str, port: int, timeout: float = 5.0) -> dict:
-    """One ``stats`` round-trip against a live campaign service."""
-    import json
-    import socket
-
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(b'{"op":"stats"}\n')
-        handle = sock.makefile("rb")
-        line = handle.readline()
-    if not line:
-        raise ConnectionError("service closed the connection")
-    return json.loads(line)
-
-
-def _render_top(stats: dict, previous: dict, interval: float) -> str:
-    """One frame of the live-service dashboard."""
-    lines = ["repro service dashboard"
-             f" — {time.strftime('%H:%M:%S')}"
-             f" (uptime {stats.get('uptime_s', 0):.0f}s,"
-             f" trace {stats.get('trace_id', '-')})",
-             ""]
-
-    def rate(key: str) -> str:
-        if not previous or interval <= 0:
-            return "-"
-        delta = stats.get(key, 0) - previous.get(key, 0)
-        return f"{delta / interval:.2f}/s"
-
-    rows = [
-        ("jobs submitted", stats.get("jobs_submitted", 0), rate(
-            "jobs_submitted")),
-        ("jobs completed", stats.get("jobs_completed", 0), rate(
-            "jobs_completed")),
-        ("jobs failed", stats.get("jobs_failed", 0), ""),
-        ("jobs running", stats.get("jobs_running", 0), ""),
-        ("queue depth", stats.get("queue_depth", 0),
-         f"max {stats.get('max_queue_depth', 0)}"),
-        ("defects solved", stats.get("defects_total", 0), rate(
-            "defects_total")),
-        ("workers", stats.get("workers", 0), ""),
-    ]
-    store = stats.get("store")
-    if store:
-        lookups = store.get("hits", 0) + store.get("misses", 0)
-        hit_rate = store.get("hits", 0) / lookups if lookups else 0.0
-        rows.extend([
-            ("store records", store.get("records", 0), ""),
-            ("store hit rate", f"{hit_rate:.1%}",
-             f"{store.get('hits', 0)} hit(s) /"
-             f" {store.get('misses', 0)} miss(es)"),
-        ])
-    width = max(len(label) for label, _, _ in rows)
-    for label, value, extra in rows:
-        suffix = f"  {extra}" if extra else ""
-        lines.append(f"  {label:<{width}}  {value}{suffix}")
-    return "\n".join(lines)
-
-
-def _cmd_top(args) -> int:
-    host, _, port = args.address.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"expected host:port, got {args.address!r}", file=sys.stderr)
-        return 2
-
-    previous: dict = {}
-    while True:
-        try:
-            stats = _scrape_stats(host, int(port))
-        except (OSError, ValueError) as error:
-            print(f"cannot reach service at {args.address}: {error}",
-                  file=sys.stderr)
-            return 1
-        frame = _render_top(stats, previous, args.interval)
-        if args.once:
-            print(frame)
-            return 0
-        # ANSI clear-screen + home keeps the dashboard in place.
-        print("\x1b[2J\x1b[H" + frame, flush=True)
-        previous = stats
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
 
 
 def main(argv=None) -> int:
@@ -453,21 +342,6 @@ def main(argv=None) -> int:
     atpg.add_argument("--show-missed", action="store_true",
                       help="list unclassified faults")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the long-lived campaign service (JSON-lines TCP)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8765,
-                       help="TCP port (0 = ephemeral)")
-    serve.add_argument("--store", default=None, metavar="DIR",
-                       help="shared content-addressed result store")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="process-pool width for sharded jobs "
-                            "(default: all cores)")
-    serve.add_argument("--max-jobs", type=int, default=1,
-                       help="jobs solving concurrently (default 1: one "
-                            "job already saturates the cores)")
-
     verify = sub.add_parser(
         "verify",
         help="differential fuzzing: random scenarios under the full "
@@ -525,16 +399,6 @@ def main(argv=None) -> int:
     trace_report.add_argument("trace", metavar="TRACE.jsonl")
     trace_report.add_argument("--markdown", action="store_true")
 
-    top = sub.add_parser(
-        "top",
-        help="live terminal dashboard for a running campaign service")
-    top.add_argument("address", metavar="HOST:PORT",
-                     help="service address, e.g. 127.0.0.1:8765")
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="poll interval in seconds (default 2)")
-    top.add_argument("--once", action="store_true",
-                     help="print one frame and exit (no screen clearing)")
-
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
@@ -546,16 +410,12 @@ def main(argv=None) -> int:
         return _cmd_campaign(args)
     if args.command == "atpg":
         return _cmd_atpg(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "top":
-        return _cmd_top(args)
     return 2  # pragma: no cover
 
 

@@ -1006,8 +1006,10 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     content hash of (netlist, solver-relevant options, oracles,
     ``store_namespace``, defect), looked up before solving and written
     back after — so re-running an identical campaign (another CLI
-    invocation, a verify sweep, a service job) is served from cache,
-    field-identical to a fresh solve, and never recomputed.
+    invocation, a verify sweep, a benchmark re-run) is served from
+    cache, field-identical to a fresh solve, and never recomputed.  A
+    store given as a path is opened and closed by this call; a
+    :class:`~repro.store.ResultStore` object stays open for its owner.
     Quarantined records are *not* cached: a transient worker crash must
     not poison future runs.  Store traffic is reported on
     :attr:`CampaignResult.n_store_hits` / ``n_store_misses`` /
@@ -1057,6 +1059,16 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     parent trace, and flushes a campaign-wide metrics snapshot at the
     end; render it with :class:`repro.telemetry.RunReport`.
     """
+    if store is not None and not isinstance(store, ResultStore):
+        with ResultStore(store) as opened:
+            return run_campaign(circuit, defects, oracles, options=options,
+                                warm_start=warm_start, delta=delta,
+                                batched=batched, batch_size=batch_size,
+                                parallel=parallel, workers=workers,
+                                chunk_size=chunk_size, progress=progress,
+                                checkpoint=checkpoint, resume=resume,
+                                store=opened,
+                                store_namespace=store_namespace)
     tel = telemetry_for(options)
     defects = list(defects)
     if tel is None:
@@ -1150,15 +1162,11 @@ def _run_campaign_impl(circuit: Circuit, defects: List[Defect],
     oracle_names = [oracle.name for oracle in oracles]
     cache_before = dict(CACHE_STATS)
 
-    store_obj: Optional[ResultStore] = None
-    if store is not None:
-        store_obj = (store if isinstance(store, ResultStore)
-                     else ResultStore(store))
     # The fingerprint scopes both the store's content addresses and the
     # checkpoint header; skip the (cheap but nonzero) canonicalization
     # when nothing durable is in play.
     fingerprint = None
-    if store_obj is not None or checkpoint is not None or resume:
+    if store is not None or checkpoint is not None or resume:
         fingerprint = campaign_fingerprint(circuit, options, oracles,
                                            store_namespace)
 
@@ -1179,12 +1187,12 @@ def _run_campaign_impl(circuit: Circuit, defects: List[Defect],
     # Store: serve whatever an earlier campaign already solved.
     cached: Dict[str, FaultRecord] = {}
     n_store_misses = 0
-    if store_obj is not None:
+    if store is not None:
         for defect in defects:
             key = defect_key(defect)
             if key in resumed:
                 continue
-            entry = store_obj.get(result_key(fingerprint, key))
+            entry = store.get(result_key(fingerprint, key))
             if entry is not None and _valid_record_entry(entry):
                 cached[key] = _record_from_entry(entry, defect)
             else:
@@ -1219,13 +1227,13 @@ def _run_campaign_impl(circuit: Circuit, defects: List[Defect],
                or fresh[defect_key(d)] for d in defects]
 
     n_store_puts = 0
-    if store_obj is not None:
+    if store is not None:
         for record in records:
             if record.quarantined:
                 continue  # a transient crash must not poison the cache
-            if store_obj.put(result_key(fingerprint,
-                                        defect_key(record.defect)),
-                             _record_to_entry(record)):
+            if store.put(result_key(fingerprint,
+                                    defect_key(record.defect)),
+                         _record_to_entry(record)):
                 n_store_puts += 1
 
     mna_cache_stats = {key: CACHE_STATS[key] - cache_before[key]

@@ -54,28 +54,6 @@ def default_workers() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def balanced_chunk_size(total: int, workers: Optional[int] = None,
-                        oversubscribe: int = 4) -> int:
-    """Work-stealing-ish chunk size: several chunks per worker.
-
-    :func:`parallel_map`'s default splits the items evenly, one chunk
-    per worker — minimal pickling overhead, but one slow chunk leaves
-    the other workers idle at the tail.  Cutting ``oversubscribe``
-    chunks per worker lets the pool's natural first-free-worker
-    scheduling rebalance load: a worker that drew easy defects takes
-    more chunks while a slow one finishes its first.  Smaller chunks
-    also tighten the salvage/timeout blast radius (a crash or hang
-    costs ``1/oversubscribe`` as many items).  The campaign service
-    uses this for every sharded job; plain ``parallel_map`` callers
-    keep the even split unless they opt in.
-    """
-    workers = workers if workers else default_workers()
-    if total <= 0:
-        return 1
-    return max(1, (total + workers * oversubscribe - 1)
-               // (workers * oversubscribe))
-
-
 @dataclass
 class MapFailure:
     """Structured per-item failure, returned in place of a result.

@@ -48,8 +48,7 @@ class ResultStore:
         self._segment_dir.mkdir(parents=True, exist_ok=True)
         self._index: Dict[str, Dict[str, Any]] = {}
         # Concurrent *processes* are isolated by per-writer segments;
-        # concurrent *threads* (service jobs on an executor) share this
-        # object and serialize on the lock.
+        # concurrent *threads* sharing this object serialize on the lock.
         self._lock = threading.RLock()
         # Lazily-opened private segment; a store that only reads never
         # creates a file.
@@ -158,43 +157,28 @@ class ResultStore:
         from the index until the next :meth:`refresh`.
         """
         with self._lock:
-            return self._compact_locked()
-
-    def _compact_locked(self) -> int:
-        self.refresh()
-        old_segments = sorted(self._segment_dir.glob("*.jsonl"))
-        token = uuid.uuid4().hex[:8]
-        compacted = self._segment_dir / f"seg-{os.getpid()}-{token}.jsonl"
-        with open(compacted, "w") as out:
-            for key in sorted(self._index):
-                out.write(json.dumps(
-                    {"type": "record", "schema": STORE_SCHEMA,
-                     "key": key, "entry": self._index[key]},
-                    sort_keys=True) + "\n")
-        for segment in old_segments:
-            if segment != compacted:
-                segment.unlink(missing_ok=True)
-        if self._segment_file is not None:
-            try:
-                self._segment_file.close()
-            except OSError:
-                pass
-            self._segment_file = None
-            self._segment_pid = None
-        return len(self._index)
+            self.refresh()
+            self._rewrite_locked()
+            return len(self._index)
 
     def evict(self, keep) -> int:
         """Drop every record whose key fails ``keep(key, entry)``,
         then compact.  Returns the number evicted."""
         with self._lock:
-            return self._evict_locked(keep)
+            self.refresh()
+            before = len(self._index)
+            self._index = {key: entry for key, entry in self._index.items()
+                           if keep(key, entry)}
+            self._rewrite_locked()
+            return before - len(self._index)
 
-    def _evict_locked(self, keep) -> int:
-        self.refresh()
-        before = len(self._index)
-        self._index = {key: entry for key, entry in self._index.items()
-                       if keep(key, entry)}
-        evicted = before - len(self._index)
+    def _rewrite_locked(self) -> None:
+        """Replace every segment with one holding exactly the index.
+
+        The private writer segment is among those unlinked, so its
+        handle is closed too: the next :meth:`put` opens a fresh
+        segment instead of appending to a deleted file.
+        """
         old_segments = sorted(self._segment_dir.glob("*.jsonl"))
         token = uuid.uuid4().hex[:8]
         compacted = self._segment_dir / f"seg-{os.getpid()}-{token}.jsonl"
@@ -207,7 +191,7 @@ class ResultStore:
         for segment in old_segments:
             if segment != compacted:
                 segment.unlink(missing_ok=True)
-        return evicted
+        self.close()
 
     def stats(self) -> Dict[str, int]:
         return {"records": len(self._index), "hits": self.hits,

@@ -15,17 +15,15 @@ Three ways in:
 
 Every event carries the ``trace_id`` minted at the root tracer;
 :class:`TraceContext` propagates it across process boundaries
-(``parallel_map`` workers, service jobs) so multi-process traces
-correlate by id.  :mod:`repro.telemetry.export` converts traces and
-registries to Chrome/Perfetto trace JSON, Prometheus text exposition,
-and collapsed flamegraph stacks.
+(``parallel_map`` workers) so multi-process traces correlate by id.
+:mod:`repro.telemetry.export` converts traces to Chrome/Perfetto trace
+JSON and collapsed flamegraph stacks.
 
 See docs/observability.md for the span hierarchy, the JSONL schema and
 worked examples.
 """
 
 from .export import (chrome_trace_events, collapsed_stacks, export_trace,
-                     parse_prometheus, prometheus_exposition,
                      write_chrome_trace, write_collapsed)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       NEWTON_COUNTERS, SUMMARY_QUANTILES,
@@ -61,9 +59,7 @@ __all__ = [
     "export_trace",
     "from_env",
     "new_trace_id",
-    "parse_prometheus",
     "profiler_for",
-    "prometheus_exposition",
     "read_jsonl",
     "record_newton_stats",
     "telemetry_for",

@@ -1,41 +1,21 @@
-"""Standard-format exporters: Chrome/Perfetto traces, Prometheus text,
-collapsed flamegraph stacks.
+"""Standard-format exporters: Chrome/Perfetto traces and collapsed
+flamegraph stacks.
 
-Everything here converts the repro-native artifacts — JSONL trace event
-lists and :class:`~repro.telemetry.metrics.MetricsRegistry` snapshots —
-into formats existing tooling understands:
+Everything here converts repro-native JSONL trace event lists into
+formats existing tooling understands:
 
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON format (``ph: "X"`` complete events, microsecond
   timestamps), loadable in ``chrome://tracing`` and https://ui.perfetto.dev;
-* :func:`prometheus_exposition` — the Prometheus text exposition format
-  (version 0.0.4): counters, gauges, and histogram quantile summaries,
-  also served by the campaign service's ``stats`` op so a live
-  ``python -m repro serve`` process is scrapable;
 * :func:`collapsed_stacks` / :func:`write_collapsed` — Brendan Gregg's
   collapsed-stack format (``frame;frame;frame count``) from ``profile``
   events, the input ``flamegraph.pl`` / speedscope / inferno expect.
-
-:func:`parse_prometheus` is the matching strict reader, used by the perf
-harness gate and tests to prove round-trips.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, List, Sequence, Tuple
-
-from .metrics import SUMMARY_QUANTILES, MetricsRegistry
-
-#: Default metric-name prefix of the Prometheus exposition.
-PROMETHEUS_PREFIX = "repro"
-
-_NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
-_SAMPLE_LINE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^}]*\})?"
-    r"\s+(?P<value>[^\s]+)\s*$")
 
 
 # -- Chrome / Perfetto trace events --------------------------------------
@@ -85,80 +65,6 @@ def write_chrome_trace(events: Sequence[Dict[str, Any]],
         json.dump(document, handle, default=str)
         handle.write("\n")
     return len(trace_events)
-
-
-# -- Prometheus text exposition ------------------------------------------
-
-def _metric_name(prefix: str, name: str) -> str:
-    full = f"{prefix}_{name}" if prefix else name
-    return _NAME_SANITIZE.sub("_", full)
-
-
-def _format_value(value: Any) -> str:
-    number = float(value)
-    if number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    return repr(number)
-
-
-def prometheus_exposition(metrics: Any,
-                          prefix: str = PROMETHEUS_PREFIX) -> str:
-    """Render a registry (or its :meth:`snapshot`) as Prometheus text.
-
-    Counters and gauges become single samples; histograms become
-    Prometheus *summaries*: one ``{quantile="..."}`` sample per entry
-    of :data:`~repro.telemetry.metrics.SUMMARY_QUANTILES` plus the
-    conventional ``_sum`` and ``_count`` series.  Metric names are
-    prefixed and sanitised (``service.job_wall_s`` →
-    ``repro_service_job_wall_s``).
-    """
-    snapshot = (metrics.snapshot()
-                if isinstance(metrics, MetricsRegistry) else dict(metrics))
-    lines: List[str] = []
-    for name in sorted(snapshot.get("counters", {})):
-        metric = _metric_name(prefix, name)
-        lines.append(f"# TYPE {metric} counter")
-        value = snapshot["counters"][name]
-        lines.append(f"{metric} {_format_value(value)}")
-    for name in sorted(snapshot.get("gauges", {})):
-        metric = _metric_name(prefix, name)
-        lines.append(f"# TYPE {metric} gauge")
-        value = snapshot["gauges"][name]
-        lines.append(f"{metric} {_format_value(value)}")
-    for name in sorted(snapshot.get("histograms", {})):
-        metric = _metric_name(prefix, name)
-        summary = snapshot["histograms"][name]
-        lines.append(f"# TYPE {metric} summary")
-        for key, q in SUMMARY_QUANTILES:
-            if key in summary:
-                lines.append(
-                    f'{metric}{{quantile="{q}"}} '
-                    f"{_format_value(summary[key])}")
-        lines.append(f"{metric}_sum {_format_value(summary.get('sum', 0))}")
-        lines.append(
-            f"{metric}_count {_format_value(summary.get('count', 0))}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def parse_prometheus(text: str) -> Dict[str, float]:
-    """Strict parse of text exposition → ``{sample_name: value}``.
-
-    Sample names keep their label set verbatim (``m{quantile="0.5"}``).
-    Raises ``ValueError`` on any line that is neither a comment, blank,
-    nor a well-formed sample — the perf gate uses this to prove a live
-    scrape is really Prometheus text.
-    """
-    samples: Dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        match = _SAMPLE_LINE.match(line)
-        if match is None:
-            raise ValueError(f"malformed exposition line: {raw!r}")
-        key = match.group("name") + (match.group("labels") or "")
-        samples[key] = float(match.group("value"))
-    return samples
 
 
 # -- collapsed stacks (flamegraphs) --------------------------------------

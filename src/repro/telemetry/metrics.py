@@ -68,8 +68,8 @@ class Gauge:
 BUCKET_GAMMA = 1.09
 _LOG_GAMMA = math.log(BUCKET_GAMMA)
 
-#: Quantiles reported by :meth:`Histogram.summary` (and Prometheus
-#: exposition): key in the summary dict → q value.
+#: Quantiles reported by :meth:`Histogram.summary`: key in the summary
+#: dict → q value.
 SUMMARY_QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p50", 0.50), ("p95", 0.95), ("p99", 0.99),
 )

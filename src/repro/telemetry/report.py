@@ -181,24 +181,6 @@ class RunReport:
             "shrinks": len(self.named("verify.shrink")),
         }
 
-    def service_summary(self) -> Optional[Dict[str, Any]]:
-        """Campaign-service activity in the trace (``service.job`` spans
-        plus the ``service.*`` counters/gauges), or ``None`` when the
-        trace holds no service jobs."""
-        jobs = self.named("service.job")
-        submitted = self.metrics.counter_value("service.jobs_submitted")
-        if not jobs and not submitted:
-            return None
-        gauges = self.metrics.snapshot().get("gauges", {})
-        return {
-            "jobs": len(jobs) or submitted,
-            "completed": self.metrics.counter_value(
-                "service.jobs_completed"),
-            "failed": self.metrics.counter_value("service.jobs_failed"),
-            "wall_s": sum(s.get("duration_s") or 0.0 for s in jobs),
-            "queue_depth": gauges.get("service.queue_depth", 0),
-        }
-
     def store_summary(self) -> Optional[Dict[str, Any]]:
         """Result-store traffic (``campaign.store_*`` counters), or
         ``None`` when no store-backed campaign appears in the trace."""
@@ -340,14 +322,6 @@ class RunReport:
                   verification["disagreements"],
                   verification["shrinks"]]],
                 "Differential verification", markdown))
-
-        service = self.service_summary()
-        if service:
-            sections.append(_table(
-                ["jobs", "completed", "failed", "wall (s)", "queue depth"],
-                [[service["jobs"], service["completed"], service["failed"],
-                  service["wall_s"], service["queue_depth"]]],
-                "Campaign service", markdown))
 
         store = self.store_summary()
         if store:

@@ -43,8 +43,8 @@ class TraceContext:
     """The propagated identity of a trace: cross-process span parentage.
 
     A root tracer mints a ``trace_id``; when it fans work out to other
-    processes (``parallel_map`` worker envelopes, service jobs) it ships
-    a ``TraceContext`` naming that trace and the span the remote work
+    processes (``parallel_map`` worker envelopes) it ships a
+    ``TraceContext`` naming that trace and the span the remote work
     logically nests under.  The remote side passes the context to its
     own :class:`Tracer` (or ``Telemetry.capturing(context=...)``): the
     child tracer joins the parent's trace instead of starting its own,

@@ -81,6 +81,25 @@ class TestStoreRoundTrip:
         assert cold.n_store_puts == len(defects)
         assert warm.n_store_hits == len(defects)
 
+    def test_store_is_closed_only_when_the_campaign_opened_it(
+            self, setup, tmp_path, monkeypatch):
+        chain, oracles, defects = setup
+        closed = []
+        close = ResultStore.close
+
+        def spy(store):
+            closed.append(store.path)
+            close(store)
+
+        monkeypatch.setattr(ResultStore, "close", spy)
+        run_campaign(chain.circuit, defects, oracles,
+                     store=str(tmp_path / "opened"))
+        assert closed == [tmp_path / "opened"]
+
+        own = ResultStore(tmp_path / "own")
+        run_campaign(chain.circuit, defects, oracles, store=own)
+        assert closed == [tmp_path / "opened"]
+
     def test_cross_campaign_reuse_with_rebuilt_objects(self, setup,
                                                        tmp_path):
         chain, oracles, defects = setup

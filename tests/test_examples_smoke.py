@@ -25,7 +25,6 @@ EXAMPLES = {
     "healing_study": None,
     "detector_design_space": None,
     "sequential_bist": None,
-    "service_smoke": None,
     "defect_families_study": None,
     "paper_scale_reproduction": (["--quick", "--only", "fig2"],),
 }

@@ -1,15 +1,14 @@
-"""Observability layer: trace propagation, exporters, profiler, top.
+"""Observability layer: trace propagation, exporters, profiler, CLI.
 
 Acceptance for the cross-process observability features: trace ids
 minted at the root survive through worker envelopes so every event of a
 parallel campaign carries them; ``Tracer.ingest`` handles empty, nested
 and torn inputs; histograms answer quantiles within the sketch's
-relative-error bound; the Chrome/Perfetto and Prometheus exporters
-round-trip; the sampling profiler attributes self/total time sanely;
-and the CLI front ends (``report``, ``trace``, ``top``) drive it all.
+relative-error bound; the Chrome/Perfetto exporter round-trips; the
+sampling profiler attributes self/total time sanely; and the CLI front
+ends (``report``, ``trace``) drive it all.
 """
 
-import asyncio
 import json
 from dataclasses import replace
 
@@ -32,9 +31,7 @@ from repro.telemetry import (
     collapsed_stacks,
     export_trace,
     new_trace_id,
-    parse_prometheus,
     profiler_for,
-    prometheus_exposition,
     read_jsonl,
     write_chrome_trace,
 )
@@ -245,44 +242,6 @@ class TestChromeExport:
             export_trace(events, str(tmp_path / "t.x"), fmt="svg")
 
 
-class TestPrometheus:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.counter("solver.newton_solves").add(7)
-        registry.gauge("service.queue_depth").set(3)
-        h = registry.histogram("service.job_wall_s")
-        for value in (0.5, 1.0, 2.0):
-            h.observe(value)
-        return registry
-
-    def test_round_trip(self):
-        text = prometheus_exposition(self._registry())
-        samples = parse_prometheus(text)
-        assert samples["repro_solver_newton_solves"] == 7
-        assert samples["repro_service_queue_depth"] == 3
-        assert samples["repro_service_job_wall_s_count"] == 3
-        assert samples["repro_service_job_wall_s_sum"] == \
-            pytest.approx(3.5)
-        assert 'repro_service_job_wall_s{quantile="0.5"}' in samples
-        assert 'repro_service_job_wall_s{quantile="0.99"}' in samples
-
-    def test_names_are_sanitized(self):
-        registry = MetricsRegistry()
-        registry.counter("weird metric-name!").add(1)
-        text = prometheus_exposition(registry)
-        assert parse_prometheus(text)["repro_weird_metric_name_"] == 1
-
-    def test_snapshot_dict_is_accepted(self):
-        snapshot = self._registry().snapshot()
-        assert prometheus_exposition(snapshot) == \
-            prometheus_exposition(self._registry())
-
-    def test_parser_rejects_garbage(self):
-        with pytest.raises(ValueError, match="malformed"):
-            parse_prometheus("this is not an exposition\n")
-        assert parse_prometheus("# just a comment\n\n") == {}
-
-
 # -- sampling profiler ---------------------------------------------------
 
 def _busy_wait(seconds):
@@ -408,50 +367,6 @@ class TestCampaignObservability:
         assert "Histogram quantiles" in report.render()
 
 
-# -- service scrape + dashboards -----------------------------------------
-
-class TestServiceExposition:
-    def test_stats_op_serves_parseable_exposition(self, tmp_path):
-        from repro.service import CampaignService, JobSpec, \
-            submit_and_stream
-
-        async def scenario():
-            service = CampaignService(store=str(tmp_path / "store"),
-                                      workers=1)
-            server = await service.serve(port=0)
-            host, port = server.sockets[0].getsockname()[:2]
-            try:
-                spec = JobSpec(stages=2, kinds=("pipe",),
-                               pipe_resistances=(4e3,), limit=3)
-                events = await submit_and_stream(host, port, spec)
-                reader, writer = await asyncio.open_connection(host, port)
-                writer.write(b'{"op": "stats"}\n')
-                await writer.drain()
-                stats = json.loads(await reader.readline())
-                writer.close()
-            finally:
-                server.close()
-                await server.wait_closed()
-            return service, events, stats
-
-        service, events, stats = asyncio.run(scenario())
-        trace_id = service.telemetry.tracer.trace_id
-        accepted = [e for e in events if e["event"] == "accepted"]
-        done = [e for e in events if e["event"] == "done"]
-        assert accepted[0]["trace_id"] == trace_id
-        assert done[0]["trace_id"] == trace_id
-        assert stats["event"] == "stats"
-        assert stats["trace_id"] == trace_id
-        assert stats["jobs_completed"] == 1
-        assert stats["defects_total"] == 3
-        assert stats["uptime_s"] >= 0.0
-        samples = parse_prometheus(stats["exposition"])
-        assert samples["repro_service_jobs_submitted"] == 1
-        assert samples["repro_service_jobs_completed"] == 1
-        assert 'repro_service_job_wall_s{quantile="0.5"}' in samples
-        assert "repro_service_job_wall_s_count" in samples
-
-
 # -- CLI front ends ------------------------------------------------------
 
 class TestCli:
@@ -500,29 +415,3 @@ class TestCli:
         from repro.__main__ import main
         assert main(["trace", "report", str(trace_file)]) == 0
         assert "campaign" in capsys.readouterr().out
-
-    def test_top_once_against_live_service(self, capsys):
-        from repro.__main__ import main
-        from repro.service import CampaignService
-
-        async def scenario():
-            service = CampaignService(workers=1)
-            server = await service.serve(port=0)
-            host, port = server.sockets[0].getsockname()[:2]
-            # The scrape opens a blocking socket; run it off-loop so the
-            # service event loop can answer.
-            code = await asyncio.to_thread(
-                main, ["top", f"{host}:{port}", "--once"])
-            server.close()
-            await server.wait_closed()
-            return code
-
-        assert asyncio.run(scenario()) == 0
-        out = capsys.readouterr().out
-        assert "jobs submitted" in out
-        assert "queue depth" in out
-
-    def test_top_refuses_bad_address(self, capsys):
-        from repro.__main__ import main
-        assert main(["top", "no-port-here", "--once"]) == 2
-        assert main(["top", "127.0.0.1:1", "--once"]) == 1

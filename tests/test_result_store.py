@@ -136,6 +136,20 @@ class TestStoreBasics:
         assert reopened.get("keep") == ENTRY
         assert reopened.get("drop") is None
 
+    def test_put_after_evict_survives_reopen(self, tmp_path):
+        # The eviction rewrite unlinks the writer's segment; a later put
+        # must land in a live segment, not the deleted one.
+        store = ResultStore(tmp_path / "store")
+        store.put("a", ENTRY)
+        store.put("b", OTHER)
+        store.evict(lambda key, entry: key == "a")
+        store.put("c", OTHER)
+        store.close()
+        reopened = ResultStore(tmp_path / "store")
+        assert len(reopened) == 2
+        assert reopened.get("a") == ENTRY
+        assert reopened.get("c") == OTHER
+
     def test_read_only_store_creates_no_segment(self, tmp_path):
         path = tmp_path / "store"
         ResultStore(path).get("missing")
