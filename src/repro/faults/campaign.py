@@ -26,7 +26,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..parallel import MapFailure, parallel_map
-from ..sim.batch import solve_batch
+from ..sim.batch import BatchCounters, solve_batch
 from ..sim.dc import (ConvergenceError, DcSolution, DeltaContext, NewtonStats,
                       _newton_span, delta_solve, operating_point)
 from ..sim.mna import CACHE_STATS, SingularMatrixError, structure_for
@@ -34,6 +34,7 @@ from ..sim.options import DEFAULT_OPTIONS, SimOptions
 from ..store import ResultStore, campaign_fingerprint, result_key
 from ..telemetry import (Telemetry, profiler_for, record_newton_stats,
                          telemetry_for)
+from ..telemetry.report import BATCH_EXIT_PREFIX
 from .defects import Defect
 from .injector import inject
 
@@ -132,7 +133,9 @@ class FaultRecord:
     #: How the operating point was obtained: ``"full"`` (conventional
     #: inject-and-solve), ``"delta"`` (low-rank solve on the shared
     #: fault-free compiled system: bitwise replay on dense, Woodbury
-    #: chord on sparse), ``"delta-fallback"`` (delta solve failed to
+    #: chord on sparse and replay where the chord gives up),
+    #: ``"batched"`` (the batched engine's first rung, see
+    #: :mod:`repro.sim.batch`), ``"delta-fallback"`` (delta solve failed to
     #: converge; re-solved conventionally), ``"full-retry"`` (the
     #: conventional solve failed and the escalated cold retry rung
     #: succeeded), or ``"none"`` (quarantined: no operating point).
@@ -193,10 +196,14 @@ class CampaignResult:
     #: part of the result).  ``n_batched_solves`` counts stacked linear
     #: solves, ``batch_occupancy`` their summed member counts (mean
     #: occupancy = occupancy / solves), ``batch_fallbacks`` the members
-    #: that left a batch and were re-solved per-defect.
+    #: that left a batch for the conventional rungs (or, out of budget,
+    #: for the serial ladder), and ``fallback_reasons`` every rung exit
+    #: by ``"<rung>.<reason>"`` (see :class:`repro.sim.batch.BatchCounters`).
     n_batched_solves: int = field(default=0, compare=False)
     batch_occupancy: int = field(default=0, compare=False)
     batch_fallbacks: int = field(default=0, compare=False)
+    fallback_reasons: Dict[str, int] = field(default_factory=dict,
+                                             compare=False)
     #: Result-store activity for this campaign (``store=`` runs only;
     #: excluded from equality — a cache-served record *is* the record).
     #: ``n_store_hits`` were served from the content-addressed store
@@ -462,6 +469,33 @@ def _solve_defect_impl(defect: Defect, circuit: Circuit,
     return record
 
 
+def _delta_fallback_record(defect: Defect, circuit: Circuit,
+                           oracles: Sequence[Oracle], options: SimOptions,
+                           warm: Optional[Tuple[Dict[str, float],
+                                                Dict[str, float]]],
+                           stats: NewtonStats, failure: str) -> FaultRecord:
+    """The conventional rungs after the low-rank rungs failed.
+
+    ``stats`` is the work the failed low-rank attempt spent and
+    ``failure`` its last rung's failure text; serial delta solves and
+    batch members that fail the batch's last rung share this, so their
+    records match field for field.
+    """
+    record = _solve_defect_impl(defect, circuit, oracles, options, warm)
+    if not record.quarantined:
+        record.solver = "delta-fallback"
+    else:
+        # Keep the whole degradation trail in the quarantine reason:
+        # the delta rung failed first.
+        record.quarantine_reason = (
+            f"delta: {failure}; {record.quarantine_reason}")
+    # The failed low-rank attempt's work belongs to this defect: merge
+    # its counters too, so aggregate stats account every iteration
+    # identically on the serial and parallel paths.
+    record.merge_stats(stats)
+    return record
+
+
 #: Per-process cache of delta contexts, keyed on the (weakly held) MNA
 #: structure of the fault-free circuit.  Worker processes rebuild the
 #: context from the pickled circuit once per chunk; the build is a pure
@@ -536,19 +570,8 @@ def _solve_defect_delta_impl(defect: Defect, circuit: Circuit,
             finally:
                 tel.record_newton(stats)
     except (ConvergenceError, SingularMatrixError) as delta_error:
-        record = _solve_defect_impl(defect, circuit, oracles, options, warm)
-        if not record.quarantined:
-            record.solver = "delta-fallback"
-        else:
-            # Keep the whole degradation trail in the quarantine reason:
-            # the delta rung failed first.
-            record.quarantine_reason = (
-                f"delta: {delta_error}; {record.quarantine_reason}")
-        # The failed low-rank attempt's work belongs to this defect:
-        # merge its counters too, so aggregate stats account every
-        # iteration identically on the serial and parallel paths.
-        record.merge_stats(stats)
-        return record
+        return _delta_fallback_record(defect, circuit, oracles, options,
+                                      warm, stats, str(delta_error))
     solution = DcSolution(context.structure, x, stats)
     verdicts = {oracle.name: oracle.judge(solution) for oracle in oracles}
     record = FaultRecord(defect=defect, verdicts=verdicts, solver="delta")
@@ -620,29 +643,46 @@ def _solve_defect_shipped(defect: Defect, *, solver, kwargs: Dict,
 #: for many iterations.
 DEFAULT_BATCH_SIZE = 64
 
-#: Zeroed batch-counter dict (the shape `_solve_defect_batch` returns).
-_BATCH_COUNTER_KEYS = ("n_batched_solves", "batch_occupancy",
-                       "batch_fallbacks")
+#: Batch rung-exit reasons that re-enter the serial per-defect ladder
+#: from its start: the member never ran a rung, or ran out of budget.
+_SERIAL_LADDER_REASONS = ("unsupported", "deadline")
 
 
-def _judge_batched(defect: Defect, oracles: Sequence[Oracle],
-                   context: DeltaContext, outcome, options: SimOptions
-                   ) -> FaultRecord:
-    """Turn one batch-converged member into a FaultRecord.
+def _count_unsupported(counters: BatchCounters) -> None:
+    """Count a defect the batch could not take for the serial ladder."""
+    counters.count_exit("batch", "unsupported")
+    counters.batch_fallbacks += 1
 
-    The operating point is bit-identical to what the serial delta path
-    would have produced (the batched engine's core guarantee), so the
-    oracles see exactly the solution they would have judged serially;
-    only the ``solver`` tag records that a batch did the work.
+
+def _finish_member(defect: Defect, outcome, *, context: DeltaContext,
+                   circuit: Circuit, oracles: Sequence[Oracle],
+                   options: SimOptions,
+                   warm: Optional[Tuple[Dict[str, float],
+                                        Dict[str, float]]]) -> FaultRecord:
+    """Turn one batch member that finished its batch rungs into a record.
+
+    A converged member's operating point is bit-identical to what the
+    serial delta path would have produced (the batched engine's core
+    guarantee), so the oracles see exactly the solution they would have
+    judged serially; the ``solver`` tag says which rung certified it —
+    ``batched`` for the batch's first rung, the serial ladder's
+    ``delta`` for a member the sparse chord handed to the replay phase.
+    A member that failed the batch's last rung goes on to the
+    conventional rungs, carrying the batch's work and failure text.
     """
     tel = telemetry_for(options)
 
     def build() -> FaultRecord:
+        if outcome.x is None:
+            return _delta_fallback_record(defect, circuit, oracles, options,
+                                          warm, outcome.stats,
+                                          outcome.failure)
         solution = DcSolution(context.structure, outcome.x, outcome.stats)
         verdicts = {oracle.name: oracle.judge(solution)
                     for oracle in oracles}
-        record = FaultRecord(defect=defect, verdicts=verdicts,
-                             solver="batched")
+        record = FaultRecord(
+            defect=defect, verdicts=verdicts,
+            solver="delta" if outcome.declined else "batched")
         record.merge_stats(outcome.stats)
         return record
 
@@ -661,27 +701,33 @@ def _solve_defect_batch(batch: Sequence[Defect], *, circuit: Circuit,
                         warm: Optional[Tuple[Dict[str, float],
                                              Dict[str, float]]],
                         x_ref: np.ndarray
-                        ) -> Tuple[List[FaultRecord], Dict[str, int]]:
+                        ) -> Tuple[List[FaultRecord], BatchCounters]:
     """Campaign unit of work on the batched fast path.
 
     Low-rank defects are solved as one stacked batch
-    (:func:`repro.sim.batch.solve_batch`); everything else — opens,
-    defects whose eligibility scan fails, and any member that diverges
-    or trips the deadline inside the batch — re-enters the serial
-    per-defect ladder (delta → warm full → cold retry), so its record is
-    bit-identical to a serial campaign's.  Module-level so the parallel
-    executor can pickle it.  Returns the records in batch order plus the
-    batch counters.
+    (:func:`repro.sim.batch.solve_batch`), which runs the low-rank rungs
+    itself; a member that fails the batch's last rung continues with the
+    conventional rungs (warm full → cold retry).  Everything else —
+    opens, defects whose eligibility scan fails, and members the batch
+    could not run or that tripped the deadline — enters the serial
+    per-defect ladder (delta → warm full → cold retry).  Either way the
+    record is field-identical to a serial campaign's.  Module-level so
+    the parallel executor can pickle it.  Returns the records in batch
+    order plus the batch counters.
     """
     tel = telemetry_for(options)
     records: List[Optional[FaultRecord]] = [None] * len(batch)
-    counters = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
+    counters = BatchCounters()
     try:
         context = _delta_context(circuit, options, x_ref)
-    except Exception:
+    except (SingularMatrixError, np.linalg.LinAlgError, KeyError, TypeError,
+            ValueError):
         # The serial path rebuilds (and per-defect quarantines on) the
-        # same failure, so nothing is lost by degrading the whole batch.
+        # same failure, with its reason, so nothing is lost by
+        # degrading the whole batch.
         context = None
+        for _ in batch:
+            _count_unsupported(counters)
     if context is not None:
         eligible: List[int] = []
         specs: List[Tuple[List[Tuple[int, int]], List[float]]] = []
@@ -693,25 +739,32 @@ def _solve_defect_batch(batch: Sequence[Defect], *, circuit: Circuit,
                 pairs = [(context.structure.index(p),
                           context.structure.index(n))
                          for p, n, _ in deltas]
-            except Exception:
-                continue  # serial path reproduces (and records) this
+            except (KeyError, TypeError, ValueError):
+                # The serial path reproduces the error and quarantines
+                # the defect with it.
+                _count_unsupported(counters)
+                continue
             eligible.append(position)
             specs.append((pairs, [g for _, _, g in deltas]))
         outcomes, batch_counters = solve_batch(context, specs, options)
-        for key in _BATCH_COUNTER_KEYS:
-            counters[key] += getattr(batch_counters, key)
-        if tel is not None:
-            # Batch-level counters are recorded once here (the members'
-            # own solve stats flow through their records/defect spans);
-            # bypasses the per-solve histogram, which would otherwise
-            # see a phantom zero-iteration solve.
-            record_newton_stats(
-                tel.metrics,
-                NewtonStats(strategy="batched", **counters))
+        counters.merge(batch_counters)
         for position, outcome in zip(eligible, outcomes):
-            if outcome.x is not None:
-                records[position] = _judge_batched(batch[position], oracles,
-                                                   context, outcome, options)
+            if outcome.reason not in _SERIAL_LADDER_REASONS:
+                records[position] = _finish_member(
+                    batch[position], outcome, context=context,
+                    circuit=circuit, oracles=oracles, options=options,
+                    warm=warm)
+    if tel is not None:
+        # Batch-level counters are recorded once here (the members' own
+        # solve stats flow through their records/defect spans); bypasses
+        # the per-solve histogram, which would otherwise see a phantom
+        # zero-iteration solve.
+        record_newton_stats(tel.metrics, NewtonStats(
+            strategy="batched", n_batched_solves=counters.n_batched_solves,
+            batch_occupancy=counters.batch_occupancy,
+            batch_fallbacks=counters.batch_fallbacks))
+        for key, count in counters.fallback_reasons.items():
+            tel.metrics.counter(BATCH_EXIT_PREFIX + key).add(count)
     result: List[FaultRecord] = []
     for position, defect in enumerate(batch):
         record = records[position]
@@ -745,7 +798,7 @@ def _solve_batch_shipped(batch: Sequence[Defect], *, kwargs: Dict,
 
 def _batch_value_to_records(batch: Sequence[Defect],
                             oracles: Sequence[Oracle], value: Any
-                            ) -> Tuple[List[FaultRecord], Dict[str, int]]:
+                            ) -> Tuple[List[FaultRecord], BatchCounters]:
     """Normalize one batch result slot (records or a worker failure).
 
     ``value`` is ``(records, counters)`` from :func:`_solve_defect_batch`
@@ -757,9 +810,9 @@ def _batch_value_to_records(batch: Sequence[Defect],
         reason = (f"worker {value.stage} failure after {value.attempts} "
                   f"attempt(s): {value.error_type}: {value.error}")
         return ([_quarantine_record(defect, oracles, reason)
-                 for defect in batch], dict.fromkeys(_BATCH_COUNTER_KEYS, 0))
+                 for defect in batch], BatchCounters())
     records, counters = value
-    return list(records), dict(counters)
+    return list(records), counters
 
 
 # ---------------------------------------------------------------------------
@@ -1034,14 +1087,17 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
     iteration* — vectorised device evaluation over ``(n_defects,
     n_devices)`` arrays and a multi-RHS linear solve per iteration (see
     :func:`repro.sim.batch.solve_batch`), with per-defect convergence
-    masking.  Verdicts are bit-identical to the serial engines; any
-    member that diverges or trips the deadline inside the batch falls
-    back to the serial per-defect ladder (counted in
+    masking.  The batch runs the low-rank rungs itself (the sparse
+    chord, then a batched replay for the members the chord abandons);
+    a member that fails the last of them continues with the
+    conventional rungs (warm full → cold retry), one that trips the
+    deadline re-enters the serial per-defect ladder (both counted in
     :attr:`CampaignResult.batch_fallbacks`), and ineligible defects
-    (opens, fallback devices) take the serial path directly.  Batch
-    work is observable via :attr:`CampaignResult.n_batched_solves` /
-    ``batch_occupancy`` / ``batch_fallbacks`` and the matching
-    ``campaign.*`` telemetry counters.
+    (opens, fallback devices) take the serial path directly.  Records
+    are field-identical to a serial delta campaign's.  Batch work is
+    observable via :attr:`CampaignResult.n_batched_solves` /
+    ``batch_occupancy`` / ``batch_fallbacks`` / ``fallback_reasons``
+    and the matching ``campaign.*`` telemetry counters.
 
     ``parallel=True`` fans the per-defect solves out over a process pool
     (``workers`` processes, work split into ``chunk_size`` pieces — see
@@ -1102,7 +1158,8 @@ def run_campaign(circuit: Circuit, defects: Sequence[Defect],
         if batched:
             span.set(n_batched_solves=result.n_batched_solves,
                      batch_occupancy=result.batch_occupancy,
-                     batch_fallbacks=result.batch_fallbacks)
+                     batch_fallbacks=result.batch_fallbacks,
+                     fallback_reasons=dict(result.fallback_reasons))
         span.set(n_converged=sum(1 for r in result.records if r.converged),
                  solver_counts=result.solver_counts(),
                  woodbury_fallbacks=result.woodbury_fallbacks,
@@ -1240,9 +1297,11 @@ def _run_campaign_impl(circuit: Circuit, defects: List[Defect],
                        + worker_cache.get(key, 0) for key in CACHE_STATS}
     return CampaignResult(records=records, oracle_names=oracle_names,
                           n_resumed=len(resumed),
-                          n_batched_solves=batch_totals["n_batched_solves"],
-                          batch_occupancy=batch_totals["batch_occupancy"],
-                          batch_fallbacks=batch_totals["batch_fallbacks"],
+                          n_batched_solves=batch_totals.n_batched_solves,
+                          batch_occupancy=batch_totals.batch_occupancy,
+                          batch_fallbacks=batch_totals.batch_fallbacks,
+                          fallback_reasons=dict(
+                              batch_totals.fallback_reasons),
                           n_store_hits=len(cached),
                           n_store_misses=n_store_misses,
                           n_store_puts=n_store_puts,
@@ -1256,14 +1315,14 @@ def _solve_todo(circuit: Circuit, todo: List[Defect],
                 workers: Optional[int], chunk_size: Optional[int],
                 progress: Optional[Callable[[int, int, float], None]],
                 writer, tel, span
-                ) -> Tuple[List[FaultRecord], Dict[str, int], Dict[str, int]]:
+                ) -> Tuple[List[FaultRecord], BatchCounters, Dict[str, int]]:
     """Solve the not-yet-checkpointed defects.
 
     Returns the fresh records in ``todo`` order, the accumulated batch
     counters (zeros for the per-defect engines), and the summed
     MNA-cache deltas shipped back from genuine worker processes (the
     parent's own delta is accounted by the caller)."""
-    batch_totals = dict.fromkeys(_BATCH_COUNTER_KEYS, 0)
+    batch_totals = BatchCounters()
     worker_cache = dict.fromkeys(CACHE_STATS, 0)
     if not todo:
         return [], batch_totals, worker_cache
@@ -1359,9 +1418,9 @@ def _solve_todo_batched(circuit: Circuit, todo: List[Defect],
                         chunk_size: Optional[int],
                         progress: Optional[Callable[[int, int, float],
                                                     None]],
-                        writer, tel, span, batch_totals: Dict[str, int],
+                        writer, tel, span, batch_totals: BatchCounters,
                         worker_cache: Dict[str, int]
-                        ) -> Tuple[List[FaultRecord], Dict[str, int],
+                        ) -> Tuple[List[FaultRecord], BatchCounters,
                                    Dict[str, int]]:
     """Batched counterpart of the per-defect solve loop.
 
@@ -1428,6 +1487,5 @@ def _solve_todo_batched(circuit: Circuit, todo: List[Defect],
         batch_records, counters = _batch_value_to_records(batch, oracles,
                                                           unwrap(value))
         records.extend(batch_records)
-        for key in _BATCH_COUNTER_KEYS:
-            batch_totals[key] += counters.get(key, 0)
+        batch_totals.merge(counters)
     return records, batch_totals, worker_cache

@@ -114,7 +114,17 @@ class NumpyBackend(ArrayBackend):
         return np.asarray(array)
 
     def scatter_add(self, target, indices, values) -> None:
-        np.add.at(target, indices, values)
+        if isinstance(indices, tuple) and target.flags.c_contiguous:
+            # ``np.add.at`` applies repeated indices in C order of the
+            # broadcast index; the flattened index keeps that order, so
+            # the sums are bitwise the tuple form's, on numpy's much
+            # faster 1-D path.
+            flat = np.ravel_multi_index(np.broadcast_arrays(*indices),
+                                        target.shape)
+            np.add.at(target.reshape(-1), flat.reshape(-1),
+                      np.broadcast_to(values, flat.shape).reshape(-1))
+        else:
+            np.add.at(target, indices, values)
 
     def solve_stacked(self, matrices, rhs):
         # NumPy 2 dropped the stacked-vector RHS interpretation, so the

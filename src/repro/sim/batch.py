@@ -8,6 +8,9 @@ loop per defect; this module runs one Newton loop per *batch*:
 
 * **device evaluation** is one vectorised call over ``(n_defects,
   n_devices)`` arrays (:meth:`CompiledStamps.eval_nonlinear_batch`),
+* **assembly** scatters every member's device stamps into one stacked
+  array (dense matrices, or CSC ``data`` rows on the sparse path) and
+  overlays each member's fault conductances at precomputed slots,
 * the **linear solve** routes every still-converging member through a
   single stacked dense solve, or — on the sparse path — one multi-RHS
   back-substitution of the shared fault-free factorization with a
@@ -15,11 +18,12 @@ loop per defect; this module runs one Newton loop per *batch*:
 * **convergence masking** drops finished members out of the batch
   without touching the arithmetic of the others.
 
-Bit-identity contract (the property :mod:`repro.verify` enforces):
+The batch runs the rungs of the serial low-rank ladder itself, so a
+member is never re-solved by a rung the batch already ran:
 
-* Dense: the batched replay performs, for every member, the exact
+* Dense: one rung, the batched replay — for every member the exact
   floating-point operation sequence of the serial
-  :func:`~repro.sim.dc._delta_replay` — same reset limiting state, same
+  :func:`~repro.sim.dc._delta_replay`: same reset limiting state, same
   accumulation order (``np.add.at`` broadcast semantics), and a stacked
   ``np.linalg.solve`` whose per-slice results are bitwise equal to the
   serial 1-D solves.  A member that converges in the batch therefore
@@ -28,29 +32,36 @@ Bit-identity contract (the property :mod:`repro.verify` enforces):
   serial :func:`~repro.sim.dc._delta_chord` does (multi-RHS
   ``splu.solve`` is column-bitwise equal to the serial vector solves),
   including the stall escalation to a member-local refactorized
-  operator; a member the serial path would abandon (step blow-up,
-  repeated stalls) leaves the batch instead.
-* Any member that leaves the batch — divergence, singular/non-finite
-  iterate, stall, deadline — reports a failure and is re-solved by the
-  caller through the *serial* per-defect ladder (delta → warm full →
-  cold retry), so its record is bit-identical to a serial campaign's.
+  operator.  A member the chord abandons (step blow-up, repeated
+  stalls, non-finite or singular iterate, iteration cap) stays in the
+  batch and joins the batched replay phase: one device evaluation per
+  iteration for all of them, stacked CSC ``data`` assembly, and one
+  ``splu`` per member — the serial sparse ``_delta_replay`` bit for bit.
+* A member that fails the batch's last rung (the replay) leaves with
+  the serial ladder's exact failure text and the work the batch spent
+  on it; the caller continues with the conventional rungs (warm full
+  solve, then cold retry), so its record is field-identical to a
+  serial delta campaign's.  Only members that never entered a rung
+  (unsupported options) or ran out of wall-clock budget are re-solved
+  by the serial per-defect ladder from the start.
 
-Array operations go through :mod:`repro.sim.backend`, keeping an
-explicit seam for accelerator backends.
+Every rung exit is counted by reason in
+:attr:`BatchCounters.fallback_reasons`.  Array operations go through
+:mod:`repro.sim.backend`, keeping an explicit seam for accelerator
+backends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
 
 from .backend import ArrayBackend, get_backend
 from .dc import (DeltaContext, NewtonStats, SolveDeadlineExceeded,
-                 _check_deadline, _deadline_for, _DELTA_STEP_BLOWUP,
-                 _DELTA_MAX_LOCAL_FACTORIZATIONS)
+                 _check_deadline, _converged, _deadline_for,
+                 _DELTA_STEP_BLOWUP, _DELTA_MAX_LOCAL_FACTORIZATIONS)
 from .mna import (FactorCache, FaultedSystem, LowRankSolver,
                   SingularMatrixError)
 from .options import SimOptions
@@ -58,31 +69,70 @@ from .options import SimOptions
 #: One batch member's fault view: (net-index pairs, added conductances).
 MemberSpec = Tuple[Sequence[Tuple[int, int]], Sequence[float]]
 
+#: Failure text of a non-finite iterate (the serial solvers' wording).
+_NONFINITE = "solution contains non-finite values"
+
 
 @dataclass
 class BatchMember:
     """Outcome of one member of a batched solve.
 
     ``x`` is the converged operating point (host array) or ``None`` when
-    the member left the batch; ``failure`` then says why, and the caller
-    re-solves it through the serial per-defect ladder.  ``stats`` counts
-    the work the batch spent on this member (mirroring the serial
-    accounting: one factorization-equivalent per replay iteration).
+    the member left the batch; ``failure`` then carries the serial
+    ladder's failure text and ``reason`` its bucket (see
+    :class:`BatchCounters`).  ``declined`` is the reason the sparse chord handed the
+    member to the replay phase (``None`` if it never did).  ``stats``
+    counts the work the batch spent on this member across its rungs,
+    with the serial solvers' accounting.
     """
 
     stats: NewtonStats = field(
         default_factory=lambda: NewtonStats(strategy="batched"))
     x: Optional[np.ndarray] = None
     failure: Optional[str] = None
+    reason: Optional[str] = None
+    declined: Optional[str] = None
 
 
 @dataclass
 class BatchCounters:
-    """Batch-level observability counters (see :class:`NewtonStats`)."""
+    """Batch-level observability counters (see :class:`NewtonStats`).
+
+    ``fallback_reasons`` counts rung exits by ``"<rung>.<reason>"``.
+    The rung is ``chord``, ``replay`` or ``batch`` (the member never
+    entered a rung).  The reason is ``stall``, ``blowup``,
+    ``not_converged``, ``nonfinite`` or ``singular`` when the rung gave
+    up numerically, ``deadline`` when the wall-clock budget ran out, and
+    ``unsupported`` when the options or devices are outside what the
+    batch models.  A chord exit hands the member to the replay phase;
+    every other exit is one of ``batch_fallbacks``.
+    """
 
     n_batched_solves: int = 0
     batch_occupancy: int = 0
     batch_fallbacks: int = 0
+    fallback_reasons: Dict[str, int] = field(default_factory=dict)
+
+    def count_exit(self, rung: str, reason: str) -> None:
+        key = f"{rung}.{reason}"
+        self.fallback_reasons[key] = self.fallback_reasons.get(key, 0) + 1
+
+    def merge(self, other: "BatchCounters") -> None:
+        """Add another batch's counters to these."""
+        self.n_batched_solves += other.n_batched_solves
+        self.batch_occupancy += other.batch_occupancy
+        self.batch_fallbacks += other.batch_fallbacks
+        for key, count in other.fallback_reasons.items():
+            self.fallback_reasons[key] = (
+                self.fallback_reasons.get(key, 0) + count)
+
+
+def _leave(counters: BatchCounters, member: BatchMember, rung: str,
+           reason: str, failure: str) -> None:
+    """Take ``member`` out of the batch with the serial failure text."""
+    member.failure = failure
+    member.reason = reason
+    counters.count_exit(rung, reason)
 
 
 def solve_batch(context: DeltaContext, members: Sequence[MemberSpec],
@@ -117,14 +167,16 @@ def solve_batch(context: DeltaContext, members: Sequence[MemberSpec],
         # off-diagonal reuse pairings (dense chord / sparse replay) are
         # serial-only; all route to the serial delta path.
         for member in results:
-            member.failure = "batching unsupported for these options"
-        counters.batch_fallbacks = len(members)
-        return results, counters
-    if context.system.sparse:
-        _batch_chord(context, members, options, backend, counters, results)
+            _leave(counters, member, "batch", "unsupported",
+                   "batching unsupported for these options")
     else:
-        _batch_replay(context, members, options, backend, counters, results)
-    counters.batch_fallbacks += sum(
+        replay = list(range(len(members)))
+        if context.system.sparse:
+            replay = _batch_chord(context, members, options, backend,
+                                  counters, results)
+        _batch_replay(context, members, replay, options, backend, counters,
+                      results)
+    counters.batch_fallbacks = sum(
         1 for member in results if member.x is None)
     return results, counters
 
@@ -136,19 +188,32 @@ def _tile(backend: ArrayBackend, array, count: int):
 
 
 def _batch_replay(context: DeltaContext, members: Sequence[MemberSpec],
-                  options: SimOptions, backend: ArrayBackend,
-                  counters: BatchCounters,
+                  indices: Sequence[int], options: SimOptions,
+                  backend: ArrayBackend, counters: BatchCounters,
                   results: List[BatchMember]) -> None:
-    """Stacked bitwise replay of the dense per-defect Newton solves."""
+    """Stacked bitwise replay of the serial per-defect Newton solves.
+
+    Runs the members ``indices`` of ``members`` from the reference point
+    and the reset limiting state, exactly like the serial
+    ``_delta_replay``: one stacked dense solve per iteration, or on the
+    sparse path the stacked CSC ``data`` rows factorized per member
+    through the same ``solve_assembled`` the serial replay calls.
+    """
+    count = len(indices)
+    if count == 0:
+        return
     system = context.system
     stamps = system.stamps
     xp = backend.xp
     n_nets = context.structure.n_nets
-    count = len(members)
-
-    bases = backend.stack(
-        [FaultedSystem(system, pairs, gs)._base_faulted
-         for pairs, gs in members])
+    if system.sparse:
+        faulted = [FaultedSystem(system, *members[j]) for j in indices]
+        bases = _tile(backend, system.base_data, count)
+    else:
+        # Only the stacked bases outlive this: one dense base per member
+        # is as large as the stack itself.
+        bases = backend.stack([FaultedSystem(system, *members[j]).base_dense
+                               for j in indices])
     rhs_base = backend.asarray(system.rhs_base)
     d_reset, qbe_reset, qbc_reset = context._reset_limits
     d_vlast = _tile(backend, d_reset, count)
@@ -165,8 +230,9 @@ def _batch_replay(context: DeltaContext, members: Sequence[MemberSpec],
         try:
             _check_deadline(deadline, iteration, "batched replay solve")
         except SolveDeadlineExceeded as error:
-            for j in active:
-                results[j].failure = str(error)
+            for a in active:
+                _leave(counters, results[indices[a]], "replay", "deadline",
+                       str(error))
             return
         x_active = x_stack[active]
         (nl_vals, nl_rhs_vals, limited, d_new, qbe_new,
@@ -184,31 +250,45 @@ def _batch_replay(context: DeltaContext, members: Sequence[MemberSpec],
                 nl_rhs_vals)
         matrices = bases[active]
         if nl_vals.shape[1]:
-            backend.scatter_add(
-                matrices, (rows[:, None], stamps.nl_rows[None, :],
-                           stamps.nl_cols[None, :]), nl_vals)
+            slots = ((rows[:, None], system.pattern.nl_pos[None, :])
+                     if system.sparse else
+                     (rows[:, None], stamps.nl_rows[None, :],
+                      stamps.nl_cols[None, :]))
+            backend.scatter_add(matrices, slots, nl_vals)
 
         counters.n_batched_solves += 1
         counters.batch_occupancy += int(active.size)
         failed = np.zeros(active.size, dtype=bool)
-        try:
-            x_next = backend.solve_stacked(matrices, rhs)
-        except Exception:
-            # One singular member poisons the stacked solve; isolate it
-            # with per-member solves (bitwise equal to the stacked rows).
-            x_next = xp.empty_like(rhs)
-            for row in range(active.size):
+
+        def fail(row: int, text: str) -> None:
+            failed[row] = True
+            _leave(counters, results[indices[active[row]]], "replay",
+                   "nonfinite" if text == _NONFINITE else "singular", text)
+
+        if system.sparse:
+            x_next = xp.zeros_like(rhs)
+            for row, a in enumerate(active):
                 try:
-                    x_next[row] = backend.solve_one(matrices[row], rhs[row])
-                except Exception as error:
-                    failed[row] = True
-                    results[active[row]].failure = str(error)
-                    x_next[row] = 0.0
-        finite = backend.to_numpy(xp.isfinite(x_next).all(axis=1))
-        for row in np.nonzero(~finite & ~failed)[0]:
-            results[active[row]].failure = (
-                "solution contains non-finite values")
-        failed |= ~finite
+                    x_next[row] = system.solve_assembled(
+                        faulted[a].matrix(matrices[row]), rhs[row])
+                except SingularMatrixError as error:
+                    fail(row, str(error))
+        else:
+            try:
+                x_next = backend.solve_stacked(matrices, rhs)
+            except np.linalg.LinAlgError:
+                # One singular member poisons the stacked solve; isolate
+                # it with per-member solves (bitwise equal to the rows).
+                x_next = xp.zeros_like(rhs)
+                for row in range(active.size):
+                    try:
+                        x_next[row] = backend.solve_one(matrices[row],
+                                                        rhs[row])
+                    except np.linalg.LinAlgError as error:
+                        fail(row, str(error))
+            finite = backend.to_numpy(xp.isfinite(x_next).all(axis=1))
+            for row in np.nonzero(~finite & ~failed)[0]:
+                fail(row, _NONFINITE)
 
         if mvs > 0:
             step = x_next[:, :n_nets] - x_active[:, :n_nets]
@@ -217,7 +297,7 @@ def _batch_replay(context: DeltaContext, members: Sequence[MemberSpec],
 
         survivors = ~failed
         for row in np.nonzero(survivors)[0]:
-            stats = results[active[row]].stats
+            stats = results[indices[active[row]]].stats
             stats.iterations += 1
             stats.n_factorizations += 1
 
@@ -231,32 +311,32 @@ def _batch_replay(context: DeltaContext, members: Sequence[MemberSpec],
         lim = backend.to_numpy(limited)
         done = survivors & ~lim & conv
         for row in np.nonzero(done)[0]:
-            results[active[row]].x = np.array(
+            results[indices[active[row]]].x = np.array(
                 backend.to_numpy(x_next[row]), copy=True)
         x_stack[active] = x_next
         active = active[survivors & ~done]
-    for j in active:
-        results[j].failure = (
-            f"batched replay Newton did not converge in "
-            f"{options.max_nr_iterations} iterations")
+    for a in active:
+        _leave(counters, results[indices[a]], "replay", "not_converged",
+               f"delta replay Newton did not converge in "
+               f"{options.max_nr_iterations} iterations")
 
 
 def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
                  options: SimOptions, backend: ArrayBackend,
                  counters: BatchCounters,
-                 results: List[BatchMember]) -> None:
+                 results: List[BatchMember]) -> List[int]:
     """Batched Woodbury chords through the shared sparse factorization.
 
-    The shared work — device evaluation and the reference-factorization
-    back-substitution — runs batched; the small ``k x k`` capacitance
-    corrections and the sparse residual matvecs stay per-member (``k``
-    is 1 or 2).  A stalled member refactorizes its true faulty Jacobian
-    into a member-local operator and keeps chording through it — same
-    escalation, same arithmetic as the serial chord — while still riding
-    the batched device evaluation.  Members the serial chord would
-    abandon entirely (step blow-up, repeated stalls, non-finite
-    iterates) leave the batch for the serial per-defect ladder, so the
-    batch never diverges from what the serial path would certify.
+    The shared work — device evaluation, CSC ``data`` assembly and the
+    reference-factorization back-substitution — runs batched; the small
+    ``k x k`` capacitance corrections and the sparse residual matvecs
+    stay per-member (``k`` is 1 or 2).  A stalled member refactorizes
+    its true faulty Jacobian into a member-local operator and keeps
+    chording through it — same escalation, same arithmetic as the
+    serial chord — while still riding the batched device evaluation.
+    Returns, in order, the members the chord abandons where the serial
+    chord would (step blow-up, repeated stalls, non-finite or singular
+    iterates, iteration cap): the replay phase takes them over.
     """
     system = context.system
     stamps = system.stamps
@@ -264,15 +344,21 @@ def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
     n = system.n
     n_nets = context.structure.n_nets
     count = len(members)
+    declined: List[int] = []
+
+    def decline(j: int, reason: str) -> None:
+        results[j].declined = reason
+        counters.count_exit("chord", reason)
+        declined.append(j)
 
     faulted = [FaultedSystem(system, pairs, gs) for pairs, gs in members]
     solvers: List[Optional[LowRankSolver]] = []
     for index, (pairs, gs) in enumerate(members):
         try:
             solvers.append(LowRankSolver(context.cache, n, pairs, gs))
-        except Exception as error:
+        except (SingularMatrixError, np.linalg.LinAlgError):
             solvers.append(None)
-            results[index].failure = str(error)
+            decline(index, "singular")
 
     d_ref, qbe_ref, qbc_ref = context._reference_limits
     d_vlast = _tile(backend, d_ref, count)
@@ -293,13 +379,14 @@ def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
     accept = options.delta_accept_factor
     for iteration in range(options.delta_max_iterations):
         if active.size == 0:
-            return
+            return sorted(declined)
         try:
             _check_deadline(deadline, iteration, "batched chord solve")
         except SolveDeadlineExceeded as error:
             for j in active:
-                results[j].failure = str(error)
-            return
+                _leave(counters, results[j], "chord", "deadline",
+                       str(error))
+            return sorted(declined)
         x_active = x_stack[active]
         (nl_vals, nl_rhs_vals, limited, d_new, qbe_new,
          qbc_new) = stamps.eval_nonlinear_batch(
@@ -308,51 +395,53 @@ def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
         q_vbe[active] = qbe_new
         q_vbc[active] = qbc_new
 
-        # Per-member sparse assembly and residual (matches
-        # ``FaultedSystem.assemble`` / ``_delta_residual`` bit for bit).
+        # Stacked assembly (row-wise bitwise ``FaultedSystem.assemble``)
+        # and per-member residuals ``b - A x``.
+        rows = np.arange(active.size)
+        data = backend.to_numpy(_tile(backend, system.base_data,
+                                      active.size))
+        rhs = backend.to_numpy(_tile(backend, system.rhs_base, active.size))
+        nl_vals_host = backend.to_numpy(nl_vals)
+        if nl_vals_host.shape[1]:
+            backend.scatter_add(
+                data, (rows[:, None], system.pattern.nl_pos[None, :]),
+                nl_vals_host)
+        nl_rhs_host = backend.to_numpy(nl_rhs_vals)
+        if nl_rhs_host.shape[1]:
+            backend.scatter_add(
+                rhs, (rows[:, None], stamps.nl_rhs_rows[None, :]),
+                nl_rhs_host)
+        limited_host = backend.to_numpy(limited)
+        x_host = backend.to_numpy(x_active)
+
         # A stalled member refactorizes its true faulty Jacobian into a
         # member-local operator, exactly like the serial chord.
         shared_rows: List[int] = []
         shared_residuals: List[np.ndarray] = []
         local_rows: List[int] = []
         local_residuals: List[np.ndarray] = []
-        limited_by_member = {int(j): bool(flag)
-                             for j, flag in zip(active,
-                                                backend.to_numpy(limited))}
-        nl_vals_host = backend.to_numpy(nl_vals)
-        nl_rhs_host = backend.to_numpy(nl_rhs_vals)
-        x_host = backend.to_numpy(x_active)
         for row, j in enumerate(active):
-            data = system.base_data.copy()
-            np.add.at(data, system.pattern.nl_pos, nl_vals_host[row])
-            matrix = csc_matrix(
-                (data, system.pattern.indices, system.pattern.indptr),
-                shape=(n, n))
             view = faulted[j]
-            matrix = matrix + coo_matrix(
-                (view._vals, (view._rows, view._cols)),
-                shape=(n, n)).tocsc()
-            rhs = system.rhs_base.copy()
-            np.add.at(rhs, stamps.nl_rhs_rows, nl_rhs_host[row])
-            residual = rhs - matrix.dot(x_host[row])
+            matrix = view.matrix(data[row])
+            residual = rhs[row] - matrix.dot(x_host[row])
             rnorm = (float(np.max(np.abs(residual)))
                      if residual.size else 0.0)
             if not np.isfinite(rnorm):
-                results[j].failure = "residual contains non-finite values"
+                decline(j, "nonfinite")
                 continue
             if (np.isfinite(prev_rnorm[j])
                     and rnorm > options.reuse_stall_ratio * prev_rnorm[j]):
                 if (local_factorizations[j]
                         >= _DELTA_MAX_LOCAL_FACTORIZATIONS):
-                    results[j].failure = "chord phase keeps stalling"
+                    decline(j, "stall")
                     continue
                 if operators[j] is None:
                     operators[j] = FactorCache()
                 try:
                     operators[j].factorize(matrix, view.factor_token,
                                            view.sparse)
-                except SingularMatrixError as error:
-                    results[j].failure = str(error)
+                except SingularMatrixError:
+                    decline(j, "singular")
                     continue
                 local_factorizations[j] += 1
                 results[j].stats.n_factorizations += 1
@@ -365,9 +454,6 @@ def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
             else:
                 local_rows.append(int(j))
                 local_residuals.append(residual)
-        if not shared_rows and not local_rows:
-            active = np.array([], dtype=np.intp)
-            return
 
         # One multi-RHS back-substitution through the shared reference
         # factorization (column-bitwise equal to per-member solves)
@@ -386,27 +472,28 @@ def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
                 y = y_all[:, column]
                 try:
                     w = np.linalg.solve(solver.capacitance, solver.u.T @ y)
-                except np.linalg.LinAlgError as error:
-                    results[j].failure = str(error)
+                except np.linalg.LinAlgError:
+                    decline(j, "singular")
                     continue
                 steps.append((j, y - solver.z @ w))
         for j, residual in zip(local_rows, local_residuals):
             steps.append((j, operators[j].solve(residual)))
 
+        position = {int(j): row for row, j in enumerate(active)}
         next_active: List[int] = []
         for j, dx in steps:
             if mvs > 0:
                 np.clip(dx[:n_nets], -mvs, mvs, out=dx[:n_nets])
-            x_old = backend.to_numpy(x_stack[j])
+            x_old = x_host[position[j]]
             x_new = x_old + dx
             if not np.all(np.isfinite(x_new)):
-                results[j].failure = "solution contains non-finite values"
+                decline(j, "nonfinite")
                 continue
             if float(np.max(np.abs(dx))) > _DELTA_STEP_BLOWUP:
-                results[j].failure = "chord step blow-up"
+                decline(j, "blowup")
                 continue
             results[j].stats.iterations += 1
-            if not limited_by_member[j] and _converged_pair(
+            if not limited_host[position[j]] and _converged(
                     x_old, x_new, n_nets, options, accept):
                 results[j].x = x_new
             else:
@@ -415,13 +502,5 @@ def _batch_chord(context: DeltaContext, members: Sequence[MemberSpec],
         next_active.sort()
         active = np.array(next_active, dtype=np.intp)
     for j in active:
-        results[j].failure = (
-            f"batched chord did not converge in "
-            f"{options.delta_max_iterations} iterations")
-
-
-def _converged_pair(x_old: np.ndarray, x_new: np.ndarray, n_nets: int,
-                    options: SimOptions, tol_factor: float) -> bool:
-    """Serial ``_converged`` on one member (identical arithmetic)."""
-    from .dc import _converged
-    return _converged(x_old, x_new, n_nets, options, tol_factor)
+        decline(int(j), "not_converged")
+    return sorted(declined)

@@ -1019,16 +1019,17 @@ class CompiledSystem:
             return ("sparse", self.n, id(self.pattern))
         return ("dense", self.n, id(self.stamps))
 
-    def assemble(self, x: np.ndarray, base_override: Optional[np.ndarray] = None):
+    def assemble(self, x: np.ndarray, fault: Optional["FaultedSystem"] = None):
         """Assemble the system linearised at iterate ``x``.
 
         Returns ``(matrix, rhs, limited)`` where ``matrix`` is a fresh
         dense ndarray or CSC matrix (safe for the caller to mutate) and
         ``limited`` reports junction limiting at this iterate.
 
-        ``base_override`` (dense path only) substitutes a different static
-        base matrix — :class:`FaultedSystem` passes its fault-overlaid
-        base so the nonlinear restamping stays byte-for-byte the same.
+        ``fault`` overlays a :class:`FaultedSystem`'s conductances: its
+        fault-overlaid static base on the dense path, its CSC ``data``
+        overlay on the sparse path, so the nonlinear restamping stays
+        byte-for-byte the same.
         """
         stamps = self.stamps
         nl_vals, nl_rhs_vals, limited = stamps.eval_nonlinear(x)
@@ -1050,15 +1051,19 @@ class CompiledSystem:
         if self.sparse:
             data = self.base_data.copy()
             np.add.at(data, self.pattern.nl_pos, nl_vals)
-            matrix = csc_matrix(
-                (data, self.pattern.indices, self.pattern.indptr),
-                shape=(self.n, self.n))
+            if fault is None:
+                matrix = csc_matrix(
+                    (data, self.pattern.indices, self.pattern.indptr),
+                    shape=(self.n, self.n))
+            else:
+                matrix = fault.matrix(data)
             if fb is not None:
+                # Fallback-device stamps go on top of any fault overlay.
                 rows, cols, vals = fb.matrix_arrays()
                 matrix = matrix + coo_matrix(
                     (vals, (rows, cols)), shape=(self.n, self.n)).tocsc()
         else:
-            base = self.base_dense if base_override is None else base_override
+            base = self.base_dense if fault is None else fault.base_dense
             matrix = base.copy()
             np.add.at(matrix, (stamps.nl_rows, stamps.nl_cols), nl_vals)
             if fb is not None:
@@ -1191,19 +1196,10 @@ class FaultedSystem:
         self.n = system.n
         self.pairs = list(index_pairs)
         self.conductances = [float(g) for g in conductances]
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for (p, q), g in zip(self.pairs, self.conductances):
-            for i, j, v in ((p, p, g), (q, q, g), (p, q, -g), (q, p, -g)):
-                if i >= 0 and j >= 0:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(v)
-        self._rows = np.asarray(rows, dtype=np.intp)
-        self._cols = np.asarray(cols, dtype=np.intp)
-        self._vals = np.asarray(vals)
-        self._base_faulted = None if self.sparse else self._exact_dense_base()
+        if self.sparse:
+            self._sparse_overlay()
+        else:
+            self.base_dense = self._exact_dense_base()
 
     def _exact_dense_base(self) -> np.ndarray:
         """Dense static base, bitwise equal to an injected circuit's.
@@ -1232,6 +1228,70 @@ class FaultedSystem:
             np.add.at(base, (seg_r, seg_c), seg_v)
         return base
 
+    def _sparse_overlay(self) -> None:
+        """Precompute where the fault conductances land in CSC ``data``.
+
+        The fault stamps are summed by the same COO→CSC conversion a
+        sparse ``base + faults`` add would use, and each summed entry
+        gets a fixed slot in the base pattern — extended by any entry
+        the base pattern lacks (a short between two nets no element
+        joins).  :meth:`matrix` then adds them in place: the same
+        ``a + b`` per shared entry as scipy's sparse add, without its
+        per-call structure merge.
+        """
+        n = self.n
+        rows: List[int] = []
+        cols: List[int] = []
+        vals: List[float] = []
+        for (p, q), g in zip(self.pairs, self.conductances):
+            for i, j, v in ((p, p, g), (q, q, g), (p, q, -g), (q, p, -g)):
+                if i >= 0 and j >= 0:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(v)
+        stamps = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+        stamps.sum_duplicates()
+        pattern = self.system.pattern
+
+        def keys(indptr, indices):
+            columns = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+            return columns * n + indices
+
+        base_keys = keys(pattern.indptr, pattern.indices)
+        fault_keys = keys(stamps.indptr, stamps.indices)
+        merged = np.union1d(base_keys, fault_keys)
+        self._fault_pos = np.searchsorted(merged, fault_keys)
+        self._fault_vals = stamps.data
+        if merged.size == base_keys.size:
+            self._base_pos = None
+            self._indices, self._indptr = pattern.indices, pattern.indptr
+        else:
+            self._base_pos = np.searchsorted(merged, base_keys)
+            self._indices = (merged % n).astype(np.int32)
+            counts = np.bincount(merged // n, minlength=n)
+            self._indptr = np.concatenate(
+                [[0], np.cumsum(counts)]).astype(np.int32)
+
+    def matrix(self, data: np.ndarray):
+        """The faulty CSC matrix from base-pattern ``data`` (consumed).
+
+        Bitwise and structurally equal to ``csc(data) + faults`` through
+        scipy's sparse add, which also drops entries that sum to exactly
+        zero.
+        """
+        if self._base_pos is not None:
+            extended = np.zeros(self._indices.size)
+            extended[self._base_pos] = data
+            data = extended
+        data[self._fault_pos] += self._fault_vals
+        if data.all():
+            return csc_matrix((data, self._indices, self._indptr),
+                              shape=(self.n, self.n))
+        matrix = csc_matrix((data, self._indices.copy(),
+                             self._indptr.copy()), shape=(self.n, self.n))
+        matrix.eliminate_zeros()
+        return matrix
+
     @property
     def factor_token(self) -> Tuple:
         return (("faulted", tuple(self.pairs), tuple(self.conductances))
@@ -1239,13 +1299,7 @@ class FaultedSystem:
 
     def assemble(self, x: np.ndarray):
         """Assemble the *faulty* system linearised at ``x``."""
-        if self._base_faulted is not None:
-            return self.system.assemble(x, base_override=self._base_faulted)
-        matrix, rhs, limited = self.system.assemble(x)
-        matrix = matrix + coo_matrix(
-            (self._vals, (self._rows, self._cols)),
-            shape=(self.n, self.n)).tocsc()
-        return matrix, rhs, limited
+        return self.system.assemble(x, fault=self)
 
     def solve_assembled(self, matrix, rhs: np.ndarray) -> np.ndarray:
         """Direct solve, same routine the full path's iterate uses."""

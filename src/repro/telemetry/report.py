@@ -4,8 +4,9 @@
 traced run) produced — from a capturing Telemetry, an event list, or a
 JSONL file — and renders the triage summary the paper-reproduction
 workflow needs: where the wall-clock went per phase, which defects were
-slowest, which solves were convergence outliers, what every detector
-oracle ruled, and the aggregate solver counters.  Text by default,
+slowest, which solves were convergence outliers, why batch members left
+the batched rungs, what every detector oracle ruled, and the aggregate
+solver counters.  Text by default,
 Markdown with ``render(markdown=True)``.
 """
 
@@ -22,6 +23,10 @@ TOP_N = 5
 
 #: How many rows the profiler hotspot table shows.
 HOTSPOT_TOP_N = 10
+
+#: Counter-name prefix of batched-campaign rung exits (one counter per
+#: ``"<rung>.<reason>"``, see :class:`repro.sim.batch.BatchCounters`).
+BATCH_EXIT_PREFIX = "campaign.batch_exit."
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
@@ -193,6 +198,24 @@ class RunReport:
         return {"hits": hits, "misses": misses, "puts": puts,
                 "hit_rate": hits / lookups if lookups else 0.0}
 
+    def batch_summary(self) -> Optional[Dict[str, Any]]:
+        """Batched-engine activity (``campaign.batch*`` counters): stacked
+        solves, mean occupancy, members that left their batch, and every
+        rung exit by ``"<rung>.<reason>"`` — or ``None`` when no batched
+        campaign appears in the trace."""
+        counters = self.metrics.snapshot()["counters"]
+        solves = counters.get("campaign.batched_solves", 0)
+        exits = {name[len(BATCH_EXIT_PREFIX):]: value
+                 for name, value in counters.items()
+                 if name.startswith(BATCH_EXIT_PREFIX)}
+        if not (solves or exits):
+            return None
+        occupancy = counters.get("campaign.batch_occupancy", 0)
+        return {"solves": solves,
+                "mean_occupancy": occupancy / solves if solves else 0.0,
+                "fallbacks": counters.get("campaign.batch_fallbacks", 0),
+                "exits": exits}
+
     def mna_cache_summary(self) -> Optional[Dict[str, Any]]:
         """Campaign-wide MNA structure-cache activity, summed over every
         campaign span's ``mna_cache_delta`` (parent and worker processes
@@ -330,6 +353,19 @@ class RunReport:
                 [[store["hits"], store["misses"], store["puts"],
                   f"{store['hit_rate']:.1%}"]],
                 "Result store", markdown))
+
+        batch = self.batch_summary()
+        if batch:
+            sections.append(_table(
+                ["batched solves", "mean occupancy", "left batch"],
+                [[batch["solves"], batch["mean_occupancy"],
+                  batch["fallbacks"]]],
+                "Batched solves", markdown))
+            if batch["exits"]:
+                sections.append(_table(
+                    ["rung.reason", "members"],
+                    sorted(batch["exits"].items()),
+                    "Batch rung exits", markdown))
 
         mna_cache = self.mna_cache_summary()
         if mna_cache:

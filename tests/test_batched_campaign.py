@@ -3,17 +3,24 @@
 The batched engine stacks many low-rank fault systems into one
 vectorised Newton iteration (``repro.sim.batch``).  Its contract is the
 strongest the repo makes: per-member operating points, solver stats and
-campaign verdicts are *bit-identical* to the serial delta engine's, any
-member that leaves the batch is re-solved through the serial per-defect
-ladder (so fallback records match a serial campaign field for field),
-and the batch counters surface through CampaignResult and telemetry.
+campaign verdicts are *bit-identical* to the serial delta engine's.  The
+batch runs the low-rank rungs itself (sparse chord, then replay), so a
+member is never re-solved by a rung the batch already ran: a member the
+chord abandons is finished by the batch's replay phase, and one that
+fails the replay goes straight on to the conventional rungs — either
+way its record matches a serial campaign's field for field.  The batch
+counters, including rung exits by reason, surface through
+CampaignResult, telemetry and the RunReport.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
 
+import repro.faults.campaign as campaign_module
+import repro.sim.batch as batch_module
 from repro.cml import NOMINAL, buffer_chain
 from repro.dft import build_shared_monitor
 from repro.faults import (
@@ -29,7 +36,7 @@ from repro.sim.dc import (ConvergenceError, DeltaContext, NewtonStats,
                           delta_solve, operating_point)
 from repro.sim.mna import SingularMatrixError
 from repro.sim.options import SimOptions
-from repro.telemetry import Telemetry
+from repro.telemetry import RunReport, Telemetry
 from repro.verify import cross_check, load_scenario
 from repro.verify.generate import build_scenario
 from repro.verify.oracle import ENGINES_BY_NAME, VERIFY_OPTIONS, _fresh_oracles
@@ -82,11 +89,29 @@ def _record_core(record):
             record.quarantined, record.quarantine_reason)
 
 
+def _forbid_serial_ladder(monkeypatch):
+    """Fail the test if a campaign re-enters the serial low-rank ladder."""
+    def delta_solve(*args, **kwargs):
+        raise AssertionError("batch member re-solved by delta_solve")
+    monkeypatch.setattr(campaign_module, "delta_solve", delta_solve)
+
+
+def _assert_records_match_serial(serial, batched):
+    """Field-identical records; ``batched`` tags the batch's first rung
+    where the serial engine says ``delta``."""
+    assert len(serial.records) == len(batched.records)
+    for a, b in zip(serial.records, batched.records):
+        assert _record_core(a) == _record_core(b)
+        assert b.solver == a.solver or (b.solver, a.solver) == (
+            "batched", "delta")
+
+
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_solve_batch_bitwise_identical_to_serial(bench, sparse):
-    """Batch-converged members land on bit-identical operating points
-    with identical solver stats; members that leave the batch are
-    exactly those the serial chord abandons."""
+    """Every member ends where the serial ``delta_solve`` ends: the same
+    bit-identical operating point and solver stats when it converges in
+    the batch (chord or replay phase), the same failure text and stats
+    when it leaves the batch."""
     circuit, defects, _ = bench
     options = SimOptions(sparse_threshold=1) if sparse else SimOptions()
     reference = operating_point(circuit, options)
@@ -101,28 +126,27 @@ def test_solve_batch_bitwise_identical_to_serial(bench, sparse):
     assert counters.batch_fallbacks == sum(
         1 for outcome in outcomes if outcome.x is None)
 
-    n_bitwise = 0
+    n_bitwise = n_replayed = 0
     for (pairs, gs), outcome in zip(specs, outcomes):
         stats = NewtonStats(strategy="woodbury")
         try:
             x_serial = delta_solve(context, pairs, gs, options, stats)
-        except (ConvergenceError, SingularMatrixError):
-            x_serial = None
-        if outcome.x is None:
-            # A batch dropout must never be a member the serial *chord*
-            # solves: on dense the trajectories are identical, and on
-            # sparse the only extra exits (blow-up, repeated stalls)
-            # are ones serial chording also escalates — delta_solve may
-            # still save it via the replay rung, which is exactly the
-            # ladder the campaign fallback re-runs.
-            continue
-        assert x_serial is not None
-        assert np.array_equal(outcome.x, x_serial)
+            failure = None
+        except (ConvergenceError, SingularMatrixError) as error:
+            x_serial, failure = None, str(error)
         assert (outcome.stats.iterations, outcome.stats.n_factorizations,
                 outcome.stats.n_reuses) == (
             stats.iterations, stats.n_factorizations, stats.n_reuses)
+        if outcome.x is None:
+            assert x_serial is None and outcome.failure == failure
+            continue
+        assert x_serial is not None
+        assert np.array_equal(outcome.x, x_serial)
         n_bitwise += 1
+        n_replayed += outcome.declined is not None
     assert n_bitwise > 30
+    # Only the sparse path has a chord that can hand members on.
+    assert (n_replayed > 10) is sparse
 
 
 def test_batched_campaign_records_match_serial_delta(bench):
@@ -150,6 +174,107 @@ def test_batched_campaign_records_match_serial_delta(bench):
     assert aggregate.n_batched_solves == batched.n_batched_solves
     assert aggregate.batch_occupancy == batched.batch_occupancy
     assert aggregate.batch_fallbacks == batched.batch_fallbacks
+
+
+def test_sparse_chord_exits_finish_in_batch_replay(bench, monkeypatch):
+    """A member the sparse chord abandons is finished by the batch's
+    replay phase, never by the serial ladder: its record keeps the
+    serial engine's ``delta`` tag and every counter, while the members
+    the chord converges keep their ``batched`` tag."""
+    circuit, defects, _ = bench
+    options = SimOptions(sparse_threshold=1)
+    serial = run_campaign(circuit, defects, _bench()[2], delta=True,
+                          options=options)
+    _forbid_serial_ladder(monkeypatch)
+    batched = run_campaign(circuit, defects, _bench()[2], batched=True,
+                           options=options)
+    _assert_records_match_serial(serial, batched)
+
+    chord_exits = sum(count for key, count in
+                      batched.fallback_reasons.items()
+                      if key.startswith("chord."))
+    assert chord_exits > 10
+    assert batched.batch_fallbacks == 0
+    counts = batched.solver_counts()
+    assert counts["delta"] == chord_exits
+    assert counts["batched"] > 50
+
+
+def test_dense_replay_failures_continue_to_conventional_rungs(
+        bench, monkeypatch):
+    """A dense member that fails the batched replay goes straight to
+    warm-full (then cold retry) with the batch's work and the serial
+    failure text: fallback and quarantined records — quarantine reason
+    included — match the serial delta campaign's field for field."""
+    circuit, defects, _ = bench
+    subset = defects[:60]
+    options = SimOptions(max_nr_iterations=10)
+    serial = run_campaign(circuit, subset, _bench()[2], delta=True,
+                          options=options)
+    _forbid_serial_ladder(monkeypatch)
+    batched = run_campaign(circuit, subset, _bench()[2], batched=True,
+                           options=options)
+    _assert_records_match_serial(serial, batched)
+
+    assert batched.batch_fallbacks > 0
+    assert batched.fallback_reasons == {
+        "replay.not_converged": batched.batch_fallbacks}
+    assert batched.solver_counts().get("delta-fallback", 0) > 0
+    quarantined = batched.quarantined()
+    assert quarantined
+    assert all(r.quarantine_reason.startswith(
+        "delta: delta replay Newton did not converge in 10 iterations; "
+        "warm-full: ") for r in quarantined)
+
+
+def test_deadline_exits_reenter_serial_ladder(bench, monkeypatch):
+    """A member that runs out of wall-clock budget inside the batch is
+    re-solved from the start by the serial per-defect ladder, so its
+    record is the serial delta campaign's, solver tag included."""
+    circuit, defects, _ = bench
+    subset = defects[:30]
+    options = SimOptions(sparse_threshold=1)
+    serial = run_campaign(circuit, subset, _bench()[2], delta=True,
+                          options=options)
+    # Every batch phase starts out of budget; the serial ladder keeps
+    # the (unlimited) budget of the options.
+    monkeypatch.setattr(batch_module, "_deadline_for",
+                        lambda options: time.perf_counter() - 1.0)
+    batched = run_campaign(circuit, subset, _bench()[2], batched=True,
+                           options=options)
+    assert batched.batch_fallbacks > 0
+    assert batched.fallback_reasons == {
+        "chord.deadline": batched.batch_fallbacks}
+    assert [(_record_core(a), a.solver) for a in serial.records] == \
+           [(_record_core(b), b.solver) for b in batched.records]
+
+
+def test_fallback_reasons_parallel_match_serial(bench):
+    """Rung-exit counts are the same whether batches run in-process or
+    in worker processes, and reach the metrics registry and the
+    RunReport's batch tables."""
+    circuit, defects, _ = bench
+    subset = defects[:60]
+    telemetry = Telemetry.capturing()
+    serial = run_campaign(circuit, subset, _bench()[2], batched=True,
+                          options=SimOptions(sparse_threshold=1,
+                                             telemetry=telemetry))
+    parallel = run_campaign(circuit, subset, _bench()[2], batched=True,
+                            options=SimOptions(sparse_threshold=1),
+                            parallel=True, workers=2)
+    assert serial.fallback_reasons
+    assert parallel.fallback_reasons == serial.fallback_reasons
+
+    counters = telemetry.metrics.snapshot()["counters"]
+    assert {key: counters[f"campaign.batch_exit.{key}"]
+            for key in serial.fallback_reasons} == serial.fallback_reasons
+    spans = [e for e in telemetry.events()
+             if e.get("type") == "span" and e.get("name") == "campaign"]
+    assert spans[0]["attrs"]["fallback_reasons"] == serial.fallback_reasons
+    report = RunReport.from_telemetry(telemetry)
+    assert report.batch_summary()["exits"] == serial.fallback_reasons
+    text = report.render()
+    assert "Batch rung exits" in text and "Batched solves" in text
 
 
 def test_batched_campaign_parallel_matches_serial_batched(bench):
@@ -180,8 +305,9 @@ def test_batched_campaign_batch_size_one(bench):
 
 def test_batched_campaign_residual_tol_falls_back_serial(bench):
     """Residual-gated acceptance is a serial-only control flow: every
-    member must fall back, and the records must equal the serial delta
-    campaign's under the same options."""
+    member must fall back (counted as ``batch.unsupported``), and the
+    records must equal the serial delta campaign's under the same
+    options."""
     circuit, defects, _ = bench
     subset = defects[:10]
     options = SimOptions(delta_residual_tol=1e-6)
@@ -191,6 +317,8 @@ def test_batched_campaign_residual_tol_falls_back_serial(bench):
                            options=options)
     assert batched.n_batched_solves == 0
     assert batched.batch_fallbacks > 0
+    assert batched.fallback_reasons == {
+        "batch.unsupported": batched.batch_fallbacks}
     assert [(_record_core(a), a.solver) for a in serial.records] == \
            [(_record_core(b), b.solver) for b in batched.records]
 
@@ -229,7 +357,8 @@ def test_batched_campaign_telemetry_counters(bench):
 
 def test_corpus_witness_has_midbatch_divergence():
     """The committed witness scenario batches a converging member and a
-    diverging member together: the diverger's fallback record must be
+    diverging member together: the diverger leaves the batched replay
+    for the conventional rungs, and its fallback record must be
     field-identical to the serial delta campaign's (same quarantine
     trail, same stats, same solver tag), while the surviving member
     stays batch-solved."""

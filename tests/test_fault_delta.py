@@ -174,3 +174,76 @@ def test_delta_records_surface_solver_counters(bench):
     assert solved
     assert all(r.newton_iterations > 0 for r in solved)
     assert sum(r.n_factorizations for r in solved) > 0
+
+
+def _scipy_faulted(system, data, pairs, conductances):
+    """The sparse add the CSC overlay replaces: ``csc(data) + faults``."""
+    from scipy.sparse import coo_matrix, csc_matrix
+    rows, cols, vals = [], [], []
+    for (p, q), g in zip(pairs, conductances):
+        for i, j, v in ((p, p, g), (q, q, g), (p, q, -g), (q, p, -g)):
+            if i >= 0 and j >= 0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(v)
+    n = system.n
+    base = csc_matrix((data, system.pattern.indices, system.pattern.indptr),
+                      shape=(n, n))
+    return base + coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+
+
+def test_sparse_fault_overlay_equals_scipy_add(bench):
+    """The fault overlay on CSC ``data`` gives the scipy sparse add's
+    matrix bit for bit and entry for entry: for every low-rank catalog
+    defect at perturbed iterates, for a short between two nets no
+    element joins (the pattern grows), and when an entry sums to exactly
+    zero (the add drops it)."""
+    from repro.sim.mna import FaultedSystem
+    circuit, defects, _ = bench
+    options = SimOptions(sparse_threshold=1)
+    reference = operating_point(circuit, options)
+    context = DeltaContext.build(circuit, options, reference.x.copy())
+    system = context.system
+    assert system.sparse
+    specs = []
+    for defect in defects:
+        deltas = defect.delta_conductances(circuit)
+        if deltas is not None:
+            specs.append(([(context.structure.index(p),
+                            context.structure.index(q))
+                           for p, q, _ in deltas],
+                          [g for _, _, g in deltas]))
+    joined = system.pattern.indices[
+        system.pattern.indptr[0]:system.pattern.indptr[1]]
+    far = next(j for j in range(context.structure.n_nets)
+               if j not in joined)
+    specs.append(([(0, far)], [1e-3]))
+    rng = np.random.default_rng(7)
+    grown = 0
+    for pairs, conductances in specs:
+        view = FaultedSystem(system, pairs, conductances)
+        grown += view._base_pos is not None
+        for _ in range(2):
+            x = reference.x + rng.normal(0.0, 0.2, system.n)
+            data = system.base_data.copy()
+            nl_vals, _, _ = system.stamps.eval_nonlinear(x)
+            np.add.at(data, system.pattern.nl_pos, nl_vals)
+            expected = _scipy_faulted(system, data.copy(), pairs,
+                                      conductances)
+            got = view.matrix(data.copy())
+            assert np.array_equal(got.indptr, expected.indptr)
+            assert np.array_equal(got.indices, expected.indices)
+            assert got.data.tobytes() == expected.data.tobytes()
+    assert grown == 1
+
+    pairs, conductances = specs[0]
+    view = FaultedSystem(system, pairs, conductances)
+    data = system.base_data.copy()
+    data[view._fault_pos[0]] = -view._fault_vals[0]
+    expected = _scipy_faulted(system, data.copy(), pairs, conductances)
+    got = view.matrix(data.copy())
+    assert got.nnz == expected.nnz < system.pattern.nnz
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.data.tobytes() == expected.data.tobytes()
+    # Pruning a matrix never touches the shared fault-free pattern.
+    assert view._indices is system.pattern.indices
